@@ -13,12 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
-from .dimensions import ls_dimension, sauer_shelah_capacity, vc_dimension
+from .dimensions import ShatterTree, ls_dimension, sauer_shelah_capacity, vc_dimension
 from .errors import EmptyFamilyError, ParameterError
 from .family import (
+    LambdaResult,
+    PackingResult,
     SetFamily,
+    TransversalResult,
     count_sunflower_tuples,
     find_sunflower,
     lambda_number,
@@ -338,109 +342,153 @@ def check_inequalities(
     preconditions) are reported as skipped, never as passed.  Supplying a
     known extremal value enables the threshold-form checks.
     """
-    if r < 2:
-        raise ParameterError("check_inequalities requires r >= 2")
-    checks: list[CheckResult] = []
-    m = family.m
-    if m == 0:
-        return InequalityReport(
-            (CheckResult("nonempty", "skip", "empty family: nothing to check"),)
+    return FamilyAnalysis(family, lambda_cap, budget).checks(r, extremal_f, extremal_g)
+
+
+class FamilyAnalysis:
+    """The quantities of one family, each computed at most once, on first use.
+
+    ``budget`` is a node budget that every search gets afresh, as when it is
+    called on its own, so a search aborts or succeeds exactly as it would
+    uncached.
+    """
+
+    def __init__(self, family: SetFamily, lambda_cap: int = 8, budget: int | None = None):
+        self.family = family
+        self.lambda_cap = lambda_cap
+        self.budget = budget
+
+    @cached_property
+    def vc(self) -> tuple[int, tuple[int, ...]]:
+        return vc_dimension(self.family, self.budget)
+
+    @cached_property
+    def ls(self) -> tuple[int, Optional[ShatterTree]]:
+        return ls_dimension(self.family, self.budget)
+
+    @cached_property
+    def nu(self) -> PackingResult:
+        return packing_number(self.family, self.budget)
+
+    @cached_property
+    def tau(self) -> TransversalResult:
+        return transversal_number(self.family, self.budget)
+
+    @cached_property
+    def lam(self) -> LambdaResult:
+        return lambda_number(self.family, cap=self.lambda_cap, budget=self.budget)
+
+    def checks(
+        self,
+        r: int,
+        extremal_f: Optional[int] = None,
+        extremal_g: Optional[int] = None,
+    ) -> InequalityReport:
+        """The inequality battery of :func:`check_inequalities`."""
+        if r < 2:
+            raise ParameterError("check_inequalities requires r >= 2")
+        family = self.family
+        checks: list[CheckResult] = []
+        m = family.m
+        if m == 0:
+            return InequalityReport(
+                (CheckResult("nonempty", "skip", "empty family: nothing to check"),)
+            )
+
+        distinct, _ = family.distinct()
+        md = distinct.m
+        n_active = sum(1 for col in family.columns if col)
+
+        vc, _ = self.vc
+        ls, _ = self.ls
+
+        def add(name: str, ok: bool, detail: str) -> None:
+            checks.append(CheckResult(name, "pass" if ok else "fail", detail))
+
+        add("vc<=ls", vc <= ls, f"vc={vc}, ls={ls}")
+        log2_md = md.bit_length() - 1
+        add("ls<=log2(m)", ls <= log2_md, f"ls={ls}, floor(log2 {md})={log2_md}")
+        cap = sauer_shelah_capacity(n_active, vc)
+        add(
+            "sauer_shelah",
+            md <= cap,
+            f"m_distinct={md} <= capacity(n_active={n_active}, vc={vc})={cap}",
         )
 
-    distinct, _ = family.distinct()
-    md = distinct.m
-    n_active = sum(1 for col in family.columns if col)
+        has_empty_member = any(not mem for mem in family.members)
+        nu = self.nu
+        if has_empty_member:
+            checks.append(
+                CheckResult("nu<=tau", "skip", "empty member: transversal undefined")
+            )
+            checks.append(CheckResult("dsw", "skip", "empty member: transversal undefined"))
+        else:
+            tau = self.tau
+            add("nu<=tau", nu.value <= tau.value, f"nu={nu.value}, tau={tau.value}")
+            lam = self.lam
+            if lam.cap_hit:
+                checks.append(
+                    CheckResult(
+                        "dsw",
+                        "skip",
+                        f"lambda search capped at {lam.cap}; value not exact",
+                    )
+                )
+            else:
+                bound = evaluate_bound("DSW", lam=max(lam.value, 1), nu=nu.value).value
+                add(
+                    "dsw",
+                    Fraction(tau.value) <= bound,
+                    f"tau={tau.value} <= DSW(lambda={lam.value}, nu={nu.value})={bound}",
+                )
 
-    vc, _ = vc_dimension(family, budget)
-    ls, _ = ls_dimension(family, budget)
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        checks.append(CheckResult(name, "pass" if ok else "fail", detail))
-
-    add("vc<=ls", vc <= ls, f"vc={vc}, ls={ls}")
-    log2_md = md.bit_length() - 1
-    add("ls<=log2(m)", ls <= log2_md, f"ls={ls}, floor(log2 {md})={log2_md}")
-    cap = sauer_shelah_capacity(n_active, vc)
-    add(
-        "sauer_shelah",
-        md <= cap,
-        f"m_distinct={md} <= capacity(n_active={n_active}, vc={vc})={cap}",
-    )
-
-    has_empty_member = any(not mem for mem in family.members)
-    nu = packing_number(family, budget)
-    if has_empty_member:
-        checks.append(
-            CheckResult("nu<=tau", "skip", "empty member: transversal undefined")
-        )
-        checks.append(CheckResult("dsw", "skip", "empty member: transversal undefined"))
-    else:
-        tau = transversal_number(family, budget)
-        add("nu<=tau", nu.value <= tau.value, f"nu={nu.value}, tau={tau.value}")
-        lam = lambda_number(family, cap=lambda_cap, budget=budget)
-        if lam.cap_hit:
+        # popular-element bound applies to (r+1)-sunflower-free families of
+        # nonempty members
+        if has_empty_member:
+            checks.append(CheckResult("popular_element", "skip", "empty member present"))
+        elif find_sunflower(family, r + 1, budget=self.budget) is not None:
             checks.append(
                 CheckResult(
-                    "dsw",
-                    "skip",
-                    f"lambda search capped at {lam.cap}; value not exact",
+                    "popular_element", "skip", f"family contains an {r + 1}-sunflower"
                 )
             )
         else:
-            bound = evaluate_bound("DSW", lam=max(lam.value, 1), nu=nu.value).value
+            k = family.max_member_size()
+            _, frac = popular_element(family)
+            threshold = Fraction(1, k * r)
             add(
-                "dsw",
-                Fraction(tau.value) <= bound,
-                f"tau={tau.value} <= DSW(lambda={lam.value}, nu={nu.value})={bound}",
+                "popular_element",
+                frac >= threshold,
+                f"max fraction {frac} >= 1/(k r) = {threshold}",
             )
 
-    # popular-element bound applies to (r+1)-sunflower-free families of
-    # nonempty members
-    if has_empty_member:
-        checks.append(CheckResult("popular_element", "skip", "empty member present"))
-    elif find_sunflower(family, r + 1, budget=budget) is not None:
-        checks.append(
-            CheckResult(
-                "popular_element", "skip", f"family contains an {r + 1}-sunflower"
-            )
-        )
-    else:
-        k = family.max_member_size()
-        _, frac = popular_element(family)
-        threshold = Fraction(1, k * r)
-        add(
-            "popular_element",
-            frac >= threshold,
-            f"max fraction {frac} >= 1/(k r) = {threshold}",
-        )
-
-    uniform_k = family.is_uniform()
-    if extremal_f is not None:
-        if family.multifamily or md != m:
-            checks.append(
-                CheckResult("size<=f-1", "skip", "needs distinct members")
-            )
-        elif uniform_k is None:
-            checks.append(CheckResult("size<=f-1", "skip", "needs a uniform family"))
-        elif find_sunflower(family, max(r, 3), budget=budget) is not None:
-            checks.append(
-                CheckResult("size<=f-1", "skip", "family is not sunflower-free")
-            )
-        else:
-            a = alpha_exact(family, r, budget)
-            ok = m <= extremal_f - 1 and a == Fraction(1, m ** (r - 1))
+        uniform_k = family.is_uniform()
+        if extremal_f is not None:
+            if family.multifamily or md != m:
+                checks.append(
+                    CheckResult("size<=f-1", "skip", "needs distinct members")
+                )
+            elif uniform_k is None:
+                checks.append(CheckResult("size<=f-1", "skip", "needs a uniform family"))
+            elif find_sunflower(family, max(r, 3), budget=self.budget) is not None:
+                checks.append(
+                    CheckResult("size<=f-1", "skip", "family is not sunflower-free")
+                )
+            else:
+                a = alpha_exact(family, r, self.budget)
+                ok = m <= extremal_f - 1 and a == Fraction(1, m ** (r - 1))
+                add(
+                    "size<=f-1",
+                    ok,
+                    f"sunflower-free size {m} <= f-1 = {extremal_f - 1}; alpha = m^(1-r) = {a}",
+                )
+        if extremal_g is not None:
+            a = alpha_exact(family, r, self.budget)
+            lo = evaluate_bound("L3", r=r, g=extremal_g).interval[1]
             add(
-                "size<=f-1",
-                ok,
-                f"sunflower-free size {m} <= f-1 = {extremal_f - 1}; alpha = m^(1-r) = {a}",
+                "alpha>=g^(1-r)/e",
+                a >= lo,
+                f"alpha={a} >= conservative g^(1-r)/e = {float(lo):.6g}",
             )
-    if extremal_g is not None:
-        a = alpha_exact(family, r, budget)
-        lo = evaluate_bound("L3", r=r, g=extremal_g).interval[1]
-        add(
-            "alpha>=g^(1-r)/e",
-            a >= lo,
-            f"alpha={a} >= conservative g^(1-r)/e = {float(lo):.6g}",
-        )
 
-    return InequalityReport(tuple(checks))
+        return InequalityReport(tuple(checks))

@@ -1,8 +1,10 @@
 """Command-line front end: generate, analyze, estimate, evaluate, search.
 
 Exit codes: 0 success, 2 unparseable input or bad parameters, 3 budget
-exhausted, 4 a property check failed, 1 anything else.  All seeded commands
-are deterministic: identical command lines produce byte-identical output,
+exhausted, 4 a property check failed, 1 anything else.  ``analyze DIR`` gives
+a failing file an entry with its error and exit code, goes on with the other
+files and exits with the highest code of them all.  All seeded commands are
+deterministic: identical command lines produce byte-identical output,
 regardless of the worker count.
 """
 
@@ -19,9 +21,9 @@ from typing import Optional
 
 from .alpha import (
     BOUND_IDS,
+    FamilyAnalysis,
     alpha_exact,
     alpha_monte_carlo,
-    check_inequalities,
     evaluate_bound,
 )
 from .constructions import (
@@ -33,7 +35,6 @@ from .constructions import (
     random_lowerbound_family,
     tree_family,
 )
-from .dimensions import ShatterTree, ls_dimension, vc_dimension
 from .errors import (
     BudgetExceededError,
     GeneralPositionError,
@@ -42,13 +43,7 @@ from .errors import (
     ParseError,
     SunflowerLabError,
 )
-from .family import (
-    SetFamily,
-    find_sunflower,
-    lambda_number,
-    packing_number,
-    transversal_number,
-)
+from .family import SetFamily, find_sunflower
 from .fileio import (
     Scene2,
     read_scene,
@@ -66,6 +61,22 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_CHECK_FAILURE = 4
 
+# the errors a command reports with a message and an exit code, not a traceback
+_REPORTED_ERRORS = (SunflowerLabError, OSError, UnicodeDecodeError)
+
+
+def _error_exit(exc: Exception) -> tuple[str, int]:
+    """The message and exit code that report one of ``_REPORTED_ERRORS``."""
+    if isinstance(exc, ParseError):
+        return f"parse error: {exc}", EXIT_PARSE
+    if isinstance(exc, (ParameterError, InvalidFamilyError, GeneralPositionError)):
+        return f"invalid input: {exc}", EXIT_PARSE
+    if isinstance(exc, BudgetExceededError):
+        return f"budget exhausted: {exc}", EXIT_BUDGET
+    if isinstance(exc, (OSError, UnicodeDecodeError)):
+        return f"cannot read input: {exc}", EXIT_PARSE
+    return f"error: {exc}", EXIT_OTHER
+
 
 def _rat_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
@@ -80,10 +91,6 @@ def _abbrev_int(value: int, limit: int = 60) -> str:
     if len(s) <= limit:
         return s
     return f"{s[0]}.{s[1:7]}e+{len(s) - 1} ({len(s)} digits)"
-
-
-def _tree_json(tree: Optional[ShatterTree]) -> Optional[dict]:
-    return tree.to_dict() if tree is not None else None
 
 
 def _load_family(path: Path) -> SetFamily:
@@ -115,20 +122,21 @@ def _analyze_file(path_str: str, r: int, lambda_cap: int, node_budget: Optional[
             "multifamily": family.multifamily,
         },
     }
-    vc, vc_w = vc_dimension(family, budget=node_budget)
-    ls, ls_w = ls_dimension(family, budget=node_budget)
+    analysis = FamilyAnalysis(family, lambda_cap, node_budget)
+    vc, vc_w = analysis.vc
+    ls, ls_w = analysis.ls
     result["vc"] = vc
     result["vc_witness"] = list(vc_w)
     result["ls"] = ls
-    result["ls_witness"] = _tree_json(ls_w)
-    nu = packing_number(family, budget=node_budget)
+    result["ls_witness"] = ls_w.to_dict() if ls_w is not None else None
+    nu = analysis.nu
     result["nu"] = {"value": nu.value, "witness": list(nu.witness)}
     if any(not mem for mem in family.members):
         result["tau"] = {"error": "a member is empty; no transversal exists"}
     else:
-        tau = transversal_number(family, budget=node_budget)
+        tau = analysis.tau
         result["tau"] = {"value": tau.value, "witness": list(tau.witness)}
-    lam = lambda_number(family, cap=lambda_cap, budget=node_budget)
+    lam = analysis.lam
     result["lambda"] = {
         "value": lam.value,
         "witness": list(lam.witness),
@@ -147,7 +155,7 @@ def _analyze_file(path_str: str, r: int, lambda_cap: int, node_budget: Optional[
             "core": list(flower.core),
             "members": list(flower.member_indices),
         }
-    report = check_inequalities(family, r, lambda_cap=lambda_cap, budget=node_budget)
+    report = analysis.checks(r)
     result["checks"] = [
         {"name": c.name, "status": c.status, "detail": c.detail} for c in report.checks
     ]
@@ -155,8 +163,11 @@ def _analyze_file(path_str: str, r: int, lambda_cap: int, node_budget: Optional[
 
 
 def _render_analysis_text(res: dict, out) -> None:
-    fam = res["family"]
     print(f"file: {res['file']}", file=out)
+    if "error" in res:
+        print(res["error"], file=out)
+        return
+    fam = res["family"]
     print(
         f"family: m={fam['m']} n={fam['n']} multifamily="
         + ("yes" if fam["multifamily"] else "no"),
@@ -192,39 +203,52 @@ def _render_analysis_text(res: dict, out) -> None:
 
 
 def _analyze_worker(args: tuple) -> dict:
-    return _analyze_file(*args)
+    """One file of a directory batch; its error becomes its entry."""
+    try:
+        return _analyze_file(*args)
+    except ParameterError:
+        raise  # a bad --r or --lambda-cap fails every file alike: it ends the batch
+    except _REPORTED_ERRORS as exc:
+        message, code = _error_exit(exc)
+        return {"file": Path(args[0]).name, "error": message, "exit": code}
+
+
+def _result_exit(res: dict) -> int:
+    if "error" in res:
+        return res["exit"]
+    failed = any(c["status"] == "fail" for c in res["checks"])
+    return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     target = Path(ns.file)
-    if target.is_dir():
+    batch = target.is_dir()
+    if not batch:
+        # a single file's error ends the command, reported by main()
+        results = [_analyze_file(str(target), ns.r, ns.lambda_cap, ns.node_budget)]
+    else:
         files = sorted(p for p in target.iterdir() if p.suffix == ".setfam")
         if not files:
             print(f"no .setfam files in {target}", file=sys.stderr)
             return EXIT_OTHER
-    else:
-        files = [target]
-    jobs = [(str(p), ns.r, ns.lambda_cap, ns.node_budget) for p in files]
-    if ns.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=ns.workers) as pool:
-            results = list(pool.map(_analyze_worker, jobs))
-    else:
-        results = [_analyze_worker(job) for job in jobs]
+        jobs = [(str(p), ns.r, ns.lambda_cap, ns.node_budget) for p in files]
+        if ns.workers > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(max_workers=ns.workers) as pool:
+                results = list(pool.map(_analyze_worker, jobs))
+        else:
+            results = [_analyze_worker(job) for job in jobs]
 
     if ns.json:
-        if len(results) == 1:
-            sys.stdout.write(_dump_json(results[0]))
-        else:
+        if batch:
             sys.stdout.write(_dump_json({"schema": SCHEMA_VERSION, "results": results}))
+        else:
+            sys.stdout.write(_dump_json(results[0]))
     else:
         for i, res in enumerate(results):
             if i:
                 print()
             _render_analysis_text(res, sys.stdout)
-    any_fail = any(
-        c["status"] == "fail" for res in results for c in res["checks"]
-    )
-    return EXIT_CHECK_FAILURE if any_fail else EXIT_OK
+    return max(_result_exit(res) for res in results)
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +575,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OTHER
     try:
         return ns.func(ns)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParameterError, InvalidFamilyError, GeneralPositionError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SunflowerLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+    except _REPORTED_ERRORS as exc:
+        message, code = _error_exit(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

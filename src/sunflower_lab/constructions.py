@@ -201,15 +201,9 @@ def random_lowerbound_family(
             pick = rng.randrange(j + 1)
             chosen.add(j if pick in chosen else pick)
         drawn.append(tuple(sorted(chosen)))
-    seen = set()
-    distinct: list[Member] = []
-    for mem in drawn:
-        if mem not in seen:
-            seen.add(mem)
-            distinct.append(mem)
-    if len(distinct) < m:
-        notes.append(f"{m - len(distinct)} duplicate draws collapsed")
-    family = SetFamily(n, tuple(distinct), False)
+    family, _ = SetFamily(n, tuple(drawn), True).distinct()
+    if family.m < m:
+        notes.append(f"{m - family.m} duplicate draws collapsed")
     report = RandomFamilyReport(
         d=d,
         r=r,
@@ -218,7 +212,7 @@ def random_lowerbound_family(
         n=n,
         t=t,
         m_requested=m,
-        m_distinct=len(distinct),
+        m_distinct=family.m,
         used_recipe=used_recipe,
         notes=tuple(notes),
     )
@@ -297,7 +291,7 @@ def extremal_search(
             return solver.value(frozenset(masks)) <= d
         if kind == "vc_bounded":
             distinct = list(dict.fromkeys(masks))
-            cap = max(e for mk in masks for e in _bits(mk)) + 1 if masks else 0
+            cap = max(mk.bit_length() for mk in masks) if masks else 0
             return _vc_from_masks(distinct, cap, None)[0] <= d
         return True
 
@@ -349,15 +343,6 @@ def extremal_search(
         max_ground_used=max_ground_used,
         notes=tuple(notes),
     )
-
-
-def _bits(mask: int):
-    e = 0
-    while mask:
-        if mask & 1:
-            yield e
-        mask >>= 1
-        e += 1
 
 
 def _candidates(

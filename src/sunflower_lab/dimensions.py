@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ParameterError
-from .family import Member, SetFamily, _canonical_pass, member_of
+from .family import Member, SetFamily, _canonical_pass, columns_of, member_of
 from .rng import Budget
 
 
@@ -64,21 +64,6 @@ class DimensionReport:
     vc_witness: tuple[int, ...]
     ls: int
     ls_witness: Optional[ShatterTree]
-    vc_exact: bool = True
-    ls_exact: bool = True
-
-
-def _distinct_masks(family: SetFamily) -> tuple[list[int], list[int]]:
-    """Masks of distinct members plus the original index kept for each."""
-    seen: dict[int, int] = {}
-    masks: list[int] = []
-    kept: list[int] = []
-    for i, mask in enumerate(family.masks):
-        if mask not in seen:
-            seen[mask] = i
-            masks.append(mask)
-            kept.append(i)
-    return masks, kept
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +77,7 @@ def _vc_from_masks(
     if md == 0:
         return 0, ()
     full = (1 << md) - 1
-    cols = [0] * n
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        rest = mask
-        e = 0
-        while rest:
-            if rest & 1:
-                cols[e] |= bit
-            rest >>= 1
-            e += 1
+    cols = columns_of(masks, n)
 
     def shattered(elems: tuple[int, ...]) -> bool:
         if budget is not None:
@@ -147,9 +123,9 @@ def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tup
     Duplicate members never change shattering and are collapsed first.  The
     empty family reports 0 by convention.
     """
-    masks, _ = _distinct_masks(family)
+    distinct, _ = family.distinct()
     b = Budget(budget) if budget is not None else None
-    return _vc_from_masks(masks, family.ground_size, b)
+    return _vc_from_masks(distinct.masks, family.ground_size, b)
 
 
 def sauer_shelah_capacity(n: int, d: int) -> int:
@@ -197,14 +173,9 @@ class LittlestoneSolver:
         for mk in masks:
             union |= mk
         counts: dict[int, int] = {}
-        rest = union
-        e = 0
-        while rest:
-            if rest & 1:
-                bit = 1 << e
-                counts[e] = sum(1 for mk in masks if mk & bit)
-            rest >>= 1
-            e += 1
+        for e in member_of(union):
+            bit = 1 << e
+            counts[e] = sum(1 for mk in masks if mk & bit)
         # splitting elements only: others contribute exactly 1, matched below
         cands = sorted(
             ((min(c, sz - c), e) for e, c in counts.items() if 0 < c < sz),
@@ -241,10 +212,8 @@ class LittlestoneSolver:
         for mk, _ in items:
             union |= mk
         sz = len(items)
-        for e in range(union.bit_length()):
+        for e in member_of(union):
             bit = 1 << e
-            if not union & bit:
-                continue
             c = sum(1 for mk, _ in items if mk & bit)
             if not 0 < c < sz:
                 continue
@@ -272,7 +241,8 @@ def ls_dimension(
     Duplicates are collapsed first (they never change the dimension).  Pass a
     shared :class:`LittlestoneSolver` to reuse its memo across calls.
     """
-    masks, kept = _distinct_masks(family)
+    distinct, kept = family.distinct()
+    masks = distinct.masks
     if solver is None:
         solver = LittlestoneSolver()
     b = Budget(budget) if budget is not None else None
@@ -299,20 +269,10 @@ def ls_dimension_tree(
     """
     if d < 0:
         raise ParameterError("tree depth must be >= 0")
-    masks, kept = _distinct_masks(family)
-    md = len(masks)
+    distinct, kept = family.distinct()
     n = family.ground_size
-    cols = [0] * n
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        rest = mask
-        e = 0
-        while rest:
-            if rest & 1:
-                cols[e] |= bit
-            rest >>= 1
-            e += 1
-    full = (1 << md) - 1
+    cols = distinct.columns
+    full = (1 << distinct.m) - 1
     b = Budget(budget) if budget is not None else None
     memo: dict[tuple[int, int], bool] = {}
 

@@ -40,13 +40,21 @@ def mask_of(member: Iterable[int]) -> int:
 
 def member_of(mask: int) -> Member:
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
+
+
+def columns_of(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """For each ground element below ``n``, the bitmask of the masks containing it."""
+    cols = [0] * n
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        for e in member_of(mask):
+            cols[e] |= bit
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -109,12 +117,7 @@ class SetFamily:
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """For each ground element, the bitmask of members containing it."""
-        cols = [0] * self.ground_size
-        for i, mem in enumerate(self.members):
-            bit = 1 << i
-            for e in mem:
-                cols[e] |= bit
-        return tuple(cols)
+        return columns_of(self.masks, self.ground_size)
 
     def member_sizes(self) -> tuple[int, ...]:
         return tuple(len(mem) for mem in self.members)
@@ -131,6 +134,8 @@ class SetFamily:
 
     def distinct(self) -> tuple["SetFamily", tuple[int, ...]]:
         """Collapse duplicate members; returns the family and the kept indices."""
+        if not self.multifamily:
+            return self, tuple(range(self.m))  # members are distinct already
         seen: dict[Member, int] = {}
         kept = []
         for i, mem in enumerate(self.members):
@@ -462,32 +467,22 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
         allowed = ~((1 << min_elem) - 1) if min_elem else ~0
         used = 0
         lb = 0
-        rem = full & ~covered
-        i = 0
-        while rem:
-            if rem & 1:
-                restricted = masks[i] & allowed
-                if restricted == 0:
-                    return m + 1  # member cannot be hit at all
-                if restricted & used == 0:
-                    lb += 1
-                    used |= restricted
-            rem >>= 1
-            i += 1
+        for i in member_of(full & ~covered):
+            restricted = masks[i] & allowed
+            if restricted == 0:
+                return m + 1  # member cannot be hit at all
+            if restricted & used == 0:
+                lb += 1
+                used |= restricted
         return lb
 
     def pick_member(covered: int, min_elem: int) -> int:
         # uncovered member with fewest allowed elements, ties to lowest index
         best_i, best_c = -1, n + 1
-        rem = full & ~covered
-        i = 0
-        while rem:
-            if rem & 1:
-                c = sum(1 for e in family.members[i] if e >= min_elem)
-                if c < best_c:
-                    best_i, best_c = i, c
-            rem >>= 1
-            i += 1
+        for i in member_of(full & ~covered):
+            c = sum(1 for e in family.members[i] if e >= min_elem)
+            if c < best_c:
+                best_i, best_c = i, c
         return best_i
 
     def solve(covered: int, min_elem: int, cap: int) -> bool:
@@ -597,16 +592,7 @@ def dual_family(family: SetFamily) -> SetFamily:
     contain it; empty traces dropped, duplicates collapsed, canonical form."""
     if family.multifamily:
         raise InvalidFamilyError("dual_family requires a plain family (no multifamily)")
-    traces: list[Member] = []
-    seen = set()
-    for e in range(family.ground_size):
-        col = family.columns[e]
-        if col == 0:
-            continue
-        trace = member_of(col)
-        if trace not in seen:
-            seen.add(trace)
-            traces.append(trace)
+    traces = dict.fromkeys(member_of(col) for col in family.columns if col)
     dual = SetFamily(family.m, tuple(traces), False)
     return canonicalize(dual)
 

@@ -14,10 +14,18 @@ from sunflower_lab import (
     count_sunflower_tuples,
     evaluate_bound,
     extremal_search,
+    find_sunflower,
+    lambda_number,
     log_star,
+    ls_dimension,
+    packing_number,
+    transversal_number,
     tree_family,
+    vc_dimension,
+    write_setfam,
 )
 from sunflower_lab.alpha import INV_E_HI, INV_E_LO
+from sunflower_lab.cli import _analyze_file
 
 from oracles import random_family
 
@@ -194,11 +202,36 @@ class TestCheckInequalities:
         names = {c.name for c in report.checks}
         assert {"vc<=ls", "ls<=log2(m)", "sauer_shelah", "nu<=tau", "dsw"} <= names
 
-    def test_corpus_never_fails(self, small_corpus):
+    def test_corpus_never_fails(self, small_corpus, tmp_path):
+        path = tmp_path / "fam.setfam"
         for fam in small_corpus:
+            report = check_inequalities(fam, 3)
             if fam.m:
-                report = check_inequalities(fam, 3)
                 assert report.all_passed, report.failed()
+            # analyze reads every field from one cached pass; each must equal
+            # the standalone call
+            write_setfam(fam, path)
+            res = _analyze_file(str(path), 3, 8, None)
+            assert res["checks"] == [
+                {"name": c.name, "status": c.status, "detail": c.detail} for c in report.checks
+            ]
+            vc, vc_w = vc_dimension(fam)
+            ls, ls_w = ls_dimension(fam)
+            assert (res["vc"], res["vc_witness"]) == (vc, list(vc_w))
+            assert (res["ls"], res["ls_witness"]) == (ls, ls_w.to_dict() if ls_w else None)
+            nu = packing_number(fam)
+            assert res["nu"] == {"value": nu.value, "witness": list(nu.witness)}
+            if all(fam.members):
+                tau = transversal_number(fam)
+                assert res["tau"] == {"value": tau.value, "witness": list(tau.witness)}
+            lam = lambda_number(fam, cap=8)
+            assert (res["lambda"]["value"], res["lambda"]["witness"]) == (lam.value, list(lam.witness))
+            assert res["lambda"]["cap_hit"] == lam.cap_hit
+            flower = find_sunflower(fam, 3) if fam.m >= 2 else None
+            assert res["sunflower"]["found"] == (flower is not None)
+            if flower is not None:
+                assert res["sunflower"]["members"] == list(flower.member_indices)
+                assert res["sunflower"]["core"] == list(flower.core)
 
     def test_capped_lambda_reported_as_skip(self):
         fam = SetFamily.from_sets(3, [[0, 1], [1, 2], [0, 2]])

@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
-from sunflower_lab import SetFamily, read_setfam, write_setfam
+import sunflower_lab
+from sunflower_lab import SetFamily, read_setfam, tree_family, write_setfam
 from sunflower_lab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILURE,
     EXIT_OK,
     EXIT_PARSE,
+    _analyze_file,
     main,
 )
 
@@ -122,6 +124,72 @@ class TestAnalyze:
         doc = json.loads(out1)
         assert [r["file"] for r in doc["results"]] == ["a.setfam", "b.setfam", "c.setfam"]
 
+    def test_analyze_directory_reports_bad_file_and_goes_on(self, capsys, tmp_path):
+        for r, k, name in ((3, 2, "a.setfam"), (3, 3, "c.setfam")):
+            run_cli(capsys, "gen", "tree", "--r", str(r), "--k", str(k), "--out", str(tmp_path / name))
+        (tmp_path / "b.setfam").write_text("setfam 1 2 1\n9: 0\n")
+        code1, out1, _ = run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", "1")
+        code2, out2, _ = run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", "2")
+        assert code1 == code2 == EXIT_PARSE
+        assert out1 == out2
+        results = json.loads(out1)["results"]
+        assert [r["file"] for r in results] == ["a.setfam", "b.setfam", "c.setfam"]
+        assert results[1]["exit"] == EXIT_PARSE
+        assert results[1]["error"].startswith("parse error: ")
+        for good in (results[0], results[2]):
+            assert "error" not in good and good["vc"] == 1
+
+    @pytest.mark.parametrize("bad_param", (("--r", "2"), ("--lambda-cap", "0")))
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_analyze_directory_bad_parameter_reported_once(
+        self, capsys, tmp_path, bad_param, workers
+    ):
+        for name in ("a.setfam", "b.setfam"):
+            write_setfam(tree_family(3, 2), tmp_path / name)
+        code, out, err = run_cli(
+            capsys, "analyze", str(tmp_path), "--json", "--workers", workers, *bad_param
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.count("invalid input: ") == 1
+
+    def test_analyze_one_file_directory_keeps_batch_shape(self, capsys, tmp_path):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.mkdir()
+        bad.mkdir()
+        write_setfam(tree_family(3, 2), good / "a.setfam")
+        (bad / "b.setfam").write_text("setfam 1 2 1\n9: 0\n")
+        code, out, _ = run_cli(capsys, "analyze", str(good), "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["schema"] == 1 and [r["file"] for r in doc["results"]] == ["a.setfam"]
+        code, out, _ = run_cli(capsys, "analyze", str(bad), "--json")
+        assert code == EXIT_PARSE
+        doc = json.loads(out)
+        assert doc["schema"] == 1 and doc["results"][0]["exit"] == EXIT_PARSE
+
+    def test_analyze_computes_each_quantity_once(self, tmp_path, monkeypatch):
+        # patch every reference the package holds, so a second route to a
+        # search is counted too
+        calls = {}
+        names = ("vc_dimension", "ls_dimension", "packing_number",
+                 "transversal_number", "lambda_number")
+        for name in names:
+            original = getattr(sunflower_lab, name)
+            calls[name] = 0
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("sunflower_lab") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        f = tmp_path / "tree.setfam"
+        write_setfam(tree_family(3, 4), f)
+        _analyze_file(str(f), 3, 8, None)
+        assert calls == dict.fromkeys(names, 1)
+
 
 class TestAlphaCommand:
     def test_exact(self, capsys, tmp_path):
@@ -214,13 +282,12 @@ class TestEntryPoint:
 class TestExitCodes:
     def test_check_failure_exit_4(self, capsys, tmp_path, monkeypatch):
         # no real family can violate the battery, so force one failing check
-        from sunflower_lab import cli as cli_mod
-        from sunflower_lab.alpha import CheckResult, InequalityReport
+        from sunflower_lab.alpha import CheckResult, FamilyAnalysis, InequalityReport
 
         def fake_checks(*args, **kwargs):
             return InequalityReport((CheckResult("forced", "fail", "synthetic"),))
 
-        monkeypatch.setattr(cli_mod, "check_inequalities", fake_checks)
+        monkeypatch.setattr(FamilyAnalysis, "checks", fake_checks)
         f = tmp_path / "t.setfam"
         write_setfam(SetFamily.from_sets(3, [[0, 1], [1, 2]]), f)
         code, stdout, _ = run_cli(capsys, "analyze", str(f))
