@@ -23,6 +23,7 @@ from .family import (
     PackingResult,
     SetFamily,
     TransversalResult,
+    _common_core,
     count_sunflower_tuples,
     find_sunflower,
     lambda_number,
@@ -83,17 +84,7 @@ def alpha_monte_carlo(
         rng = seeded_rng("alpha-mc", seed, chunk)
         randrange = rng.randrange
         for _ in range(size):
-            draw = [masks[randrange(m)] for _ in range(r)]
-            core = draw[0] & draw[1]
-            good = True
-            for a in range(r):
-                for b in range(a + 1, r):
-                    if draw[a] & draw[b] != core:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
+            if _common_core([masks[randrange(m)] for _ in range(r)]) is not None:
                 successes += 1
     return AlphaEstimate(
         r=r, m=m, estimate=successes / trials, trials=trials, seed=seed

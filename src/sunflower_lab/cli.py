@@ -78,6 +78,17 @@ def _error_exit(exc: Exception) -> tuple[str, int]:
     return f"error: {exc}", EXIT_OTHER
 
 
+def _discard_stdout() -> None:
+    """Point stdout at devnull, so that the flush at exit does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind stdout, so nothing is flushed to one
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _rat_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
@@ -574,7 +585,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse uses 2 for usage errors already; normalize other exits
         return int(exc.code) if exc.code is not None else EXIT_OTHER
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): not an input error
+        _discard_stdout()
+        return EXIT_OTHER
     except _REPORTED_ERRORS as exc:
         message, code = _error_exit(exc)
         print(message, file=sys.stderr)

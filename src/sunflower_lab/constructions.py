@@ -290,20 +290,16 @@ def extremal_search(
         if kind == "ls_bounded":
             return solver.value(frozenset(masks)) <= d
         if kind == "vc_bounded":
-            distinct = list(dict.fromkeys(masks))
+            # candidates increase strictly here, so the masks are distinct
             cap = max(mk.bit_length() for mk in masks) if masks else 0
-            return _vc_from_masks(distinct, cap, None)[0] <= d
+            return _vc_from_masks(masks, cap, None)[0] <= d
         return True
 
     def extend(members: list[Member], masks: list[int], used: int) -> None:
-        nonlocal nodes, best, best_ground, max_ground_used, aborted
+        nonlocal nodes, best, best_ground, max_ground_used
         nodes += 1
         if budget is not None:
-            try:
-                budget.spend()
-            except BudgetExceededError:
-                aborted = True
-                raise
+            budget.spend()
         if len(members) > len(best):
             best = members.copy()
             best_ground = used
@@ -324,7 +320,7 @@ def extremal_search(
     try:
         extend([], [], 0)
     except BudgetExceededError:
-        pass
+        aborted = True
 
     witness = SetFamily(best_ground, tuple(best), allow_duplicates)
     notes = []

@@ -139,6 +139,9 @@ def sauer_shelah_capacity(n: int, d: int) -> int:
 # Littlestone dimension, recursive route
 
 
+_MEMO_LIMIT = 200_000
+
+
 class LittlestoneSolver:
     """Memoized evaluator of the recursive split definition.
 
@@ -146,11 +149,10 @@ class LittlestoneSolver:
     is 1 plus the best min over the two restrictions of a splitting element.
     Subfamilies are memoized under their canonical form, so isomorphic
     subproblems across calls share work.  The memo stops growing at
-    ``memo_budget`` entries and recursion proceeds uncached beyond that.
+    ``_MEMO_LIMIT`` entries and recursion proceeds uncached beyond that.
     """
 
-    def __init__(self, memo_budget: int = 200_000):
-        self.memo_budget = memo_budget
+    def __init__(self):
         self._memo: dict[tuple[Member, ...], int] = {}
 
     @staticmethod
@@ -198,7 +200,7 @@ class LittlestoneSolver:
                 best = v
                 if best == ub:
                     break
-        if len(self._memo) < self.memo_budget:
+        if len(self._memo) < _MEMO_LIMIT:
             self._memo[key] = best
         return best
 

@@ -162,12 +162,7 @@ class Sunflower:
         idx = self.member_indices
         if len(idx) < 2 or len(set(idx)) != len(idx):
             return False
-        core = mask_of(self.core)
-        masks = family.masks
-        for a, b in combinations(idx, 2):
-            if masks[a] & masks[b] != core:
-                return False
-        return True
+        return _common_core([family.masks[i] for i in idx]) == mask_of(self.core)
 
 
 @dataclass(frozen=True)
@@ -254,11 +249,66 @@ def is_sunflower(sets: Sequence[Iterable[int]], r_min: int = 2) -> Optional[Memb
     masks = [mask_of(s) for s in sets]
     if len(masks) < need:
         raise ParameterError(f"need at least {need} sets, got {len(masks)}")
+    core = _common_core(masks)
+    return None if core is None else member_of(core)
+
+
+def _common_core(masks: Sequence[int]) -> Optional[int]:
+    """The intersection every pair of ``masks`` (at least two) shares, or ``None``."""
     core = masks[0] & masks[1]
-    for a, b in combinations(range(len(masks)), 2):
-        if masks[a] & masks[b] != core:
+    for a, b in combinations(masks, 2):
+        if a & b != core:
             return None
-    return member_of(core)
+    return core
+
+
+def _candidate_cores(values: Iterable[int]) -> list[int]:
+    """``values`` and their pairwise intersections, distinct, in ``member_of`` order.
+    Every sunflower's core is among them: it is the intersection of two of its
+    members, which are two distinct values or two copies of one."""
+    distinct = set(values)
+    cores = distinct.union(a & b for a, b in combinations(distinct, 2))
+    return sorted(cores, key=member_of)
+
+
+def _disjoint_subset(
+    masks: Sequence[int], budget: Budget | None, size: int | None = None
+) -> Optional[tuple[int, ...]]:
+    """Positions of pairwise disjoint ``masks``: the lexicographically first
+    ``size`` of them (``None`` if there are none), or, without ``size``, the
+    least largest such subset.  Depth first, "include" first; a position is
+    tried while enough remain to reach ``size``, or one more than the best so
+    far, so the recursion is only as deep as the subset."""
+    total = len(masks)
+    chosen: list[int] = []
+    best: list[int] = []
+
+    def dfs(pos: int, used: int) -> bool:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen.copy()
+            if len(best) == size:
+                return True
+        goal = len(best) + 1 if size is None else size
+        if len(chosen) + (total - pos) < goal:
+            return False
+        if budget is not None:
+            budget.spend()
+        for t in range(pos, total):
+            if len(chosen) + (total - t) < goal:
+                return False
+            if masks[t] & used == 0:
+                chosen.append(t)
+                if dfs(t + 1, used | masks[t]):
+                    return True
+                chosen.pop()
+                if size is None:
+                    goal = len(best) + 1
+        return False
+
+    if dfs(0, 0) or size is None:
+        return tuple(best)
+    return None
 
 
 def _sunflower_core_search(
@@ -269,58 +319,17 @@ def _sunflower_core_search(
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact search for ``r`` of the given members with pairwise-equal intersections.
 
-    Candidate cores are all pairwise intersections plus the empty set and the
-    members themselves; this is complete, because the core of any sunflower is
-    the intersection of two of its members.  Per core, the petals (members
-    minus core) must be pairwise disjoint; a depth-first packing search with
-    a remaining-count bound finds the lexicographically least index witness.
-    Returns ``(core_mask, indices)`` or ``None``.
+    Per candidate core, the petals (members minus core) must be pairwise
+    disjoint; the first core that has ``r`` of them gives the witness
+    ``(core_mask, indices)``.  ``None`` if no core does.
     """
-    if len(indices) < r:
-        return None
-    cores = {0}
-    for i in indices:
-        cores.add(masks[i])
-    for a, b in combinations(indices, 2):
-        cores.add(masks[a] & masks[b])
-
-    for core in sorted(cores, key=member_of):
-        eligible = [(i, masks[i] & ~core) for i in indices if masks[i] & core == core]
+    for core in _candidate_cores(masks[i] for i in indices):
+        eligible = [i for i in indices if masks[i] & core == core]
         if len(eligible) < r:
             continue
-        found = _first_disjoint_r(eligible, r, budget)
+        found = _disjoint_subset([masks[i] & ~core for i in eligible], budget, r)
         if found is not None:
-            return core, found
-    return None
-
-
-def _first_disjoint_r(
-    eligible: list[tuple[int, int]], r: int, budget: Budget | None
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically first r-subset of ``eligible`` with pairwise disjoint petals."""
-    total = len(eligible)
-    chosen: list[int] = []
-
-    def dfs(pos: int, used: int) -> bool:
-        if len(chosen) == r:
-            return True
-        if len(chosen) + (total - pos) < r:
-            return False
-        if budget is not None:
-            budget.spend()
-        for t in range(pos, total):
-            if len(chosen) + (total - t) < r:
-                return False
-            idx, petal = eligible[t]
-            if petal & used == 0:
-                chosen.append(idx)
-                if dfs(t + 1, used | petal):
-                    return True
-                chosen.pop()
-        return False
-
-    if dfs(0, 0):
-        return tuple(chosen)
+            return core, tuple(eligible[t] for t in found)
     return None
 
 
@@ -341,17 +350,13 @@ def find_sunflower(
     """
     if r < 3:
         raise ParameterError("find_sunflower requires r >= 3 (r = 2 is always satisfiable)")
-    masks = family.masks
     if distinct_only:
         _, indices = family.distinct()
     else:
         indices = tuple(range(family.m))
     b = Budget(budget) if budget is not None else None
-    hit = _sunflower_core_search(masks, indices, r, b)
-    if hit is None:
-        return None
-    core, idx = hit
-    return Sunflower(core=member_of(core), member_indices=idx)
+    hit = _sunflower_core_search(family.masks, indices, r, b)
+    return None if hit is None else Sunflower(member_of(hit[0]), hit[1])
 
 
 def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None) -> int:
@@ -378,12 +383,8 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
 
     total = sum(c**r for c in counts.values())
 
-    cores = set(values)
-    for va, vb in combinations(values, 2):
-        cores.add(va & vb)
-
     fact = [math.factorial(s) for s in range(r + 1)]
-    for core in sorted(cores, key=member_of):
+    for core in _candidate_cores(values):
         if b is not None:
             b.spend()
         petals = [(v & ~core, counts[v]) for v in values if v & core == core and v != core]
@@ -419,27 +420,9 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
 def packing_number(family: SetFamily, budget: int | None = None) -> PackingResult:
     """Exact maximum number of pairwise disjoint members, with the
     lexicographically least maximum witness (branch and bound)."""
-    masks = family.masks
-    m = family.m
     b = Budget(budget) if budget is not None else None
-    best: list[int] = []
-
-    def dfs(pos: int, chosen: list[int], used: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        if pos == m or len(chosen) + (m - pos) <= len(best):
-            return
-        if b is not None:
-            b.spend()
-        if masks[pos] & used == 0:
-            chosen.append(pos)
-            dfs(pos + 1, chosen, used | masks[pos])
-            chosen.pop()
-        dfs(pos + 1, chosen, used)
-
-    dfs(0, [], 0)
-    return PackingResult(len(best), tuple(best))
+    witness = _disjoint_subset(family.masks, b)
+    return PackingResult(len(witness), witness)
 
 
 def transversal_number(family: SetFamily, budget: int | None = None) -> TransversalResult:

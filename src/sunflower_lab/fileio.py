@@ -9,6 +9,7 @@ is 1).  Writing then reading then writing again is a fixed point.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -43,11 +44,18 @@ def _content_lines(text: str, path: str | None) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
+# the only rational forms: an integer or ``num/den``.  No exponents, decimal
+# points or underscores, so a short token cannot stand for a huge number.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _rat(token: str, path: str | None, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {token!r}", path, lineno) from None
+    if _RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational {token!r}", path, lineno)
 
 
 def _fmt_rat(value: Fraction) -> str:

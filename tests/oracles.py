@@ -29,6 +29,18 @@ def brute_has_sunflower(family: SetFamily, r: int, distinct_only: bool = False) 
     return False
 
 
+def brute_least_sunflower(family: SetFamily, r: int):
+    """``(core, indices)`` of the r-sunflower with the least sorted core, and
+    for that core the first index tuple in ``combinations`` order; or ``None``."""
+    members = [frozenset(mem) for mem in family.members]
+    found = []
+    for combo in combinations(range(len(members)), r):
+        inters = {members[a] & members[b] for a, b in combinations(combo, 2)}
+        if len(inters) == 1:
+            found.append((tuple(sorted(inters.pop())), combo))
+    return min(found, default=None)
+
+
 def brute_count_tuples(family: SetFamily, r: int) -> int:
     """Full m^r enumeration of ordered tuples with repetition."""
     members = [frozenset(mem) for mem in family.members]
@@ -75,6 +87,15 @@ def brute_packing(family: SetFamily) -> int:
             ):
                 return size
     return best
+
+
+def brute_first_packing(family: SetFamily, size: int) -> tuple[int, ...]:
+    """The first pairwise disjoint index tuple of ``size`` in ``combinations`` order."""
+    members = [frozenset(mem) for mem in family.members]
+    for combo in combinations(range(len(members)), size):
+        if all(not (members[a] & members[b]) for a, b in combinations(combo, 2)):
+            return combo
+    raise AssertionError(f"no pairwise disjoint {size} members")
 
 
 def brute_transversal(family: SetFamily) -> int:

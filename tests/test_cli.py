@@ -10,6 +10,7 @@ from sunflower_lab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILURE,
     EXIT_OK,
+    EXIT_OTHER,
     EXIT_PARSE,
     _analyze_file,
     main,
@@ -302,6 +303,30 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", str(f), "--node-budget", "5")
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    def test_broken_pipe_is_not_an_input_error(self, capsys, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        for name in ("a.setfam", "b.setfam"):
+            write_setfam(SetFamily.from_sets(3, [[0, 1], [1, 2]]), tmp_path / name)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            codes = [
+                main(["analyze", str(tmp_path)]),
+                main(["analyze", str(tmp_path), "--json"]),
+                main(["analyze", str(tmp_path / "a.setfam"), "--json"]),
+            ]
+        assert codes == [EXIT_OTHER] * 3
+        assert capsys.readouterr().err == ""
+        # a file that cannot be read is still an input error
+        code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.setfam"))
+        assert code == EXIT_PARSE
+        assert "cannot read input" in err
 
     def test_threads_env_sets_default_workers(self, monkeypatch):
         from sunflower_lab.cli import _default_workers

@@ -9,6 +9,7 @@ from sunflower_lab import (
     EmptyFamilyError,
     EmptyMemberError,
     InvalidFamilyError,
+    PackingResult,
     ParameterError,
     SetFamily,
     Sunflower,
@@ -22,13 +23,16 @@ from sunflower_lab import (
     packing_number,
     popular_element,
     transversal_number,
+    tree_family,
     vc_dimension,
 )
 
 from oracles import (
     brute_count_tuples,
+    brute_first_packing,
     brute_has_sunflower,
     brute_lambda,
+    brute_least_sunflower,
     brute_packing,
     brute_transversal,
     random_family,
@@ -156,6 +160,8 @@ class TestFindSunflower:
                 assert (got is not None) == want
                 if got is not None:
                     assert got.holds_in(fam)
+                    # the least core, then the first index tuple for it
+                    assert (got.core, got.member_indices) == brute_least_sunflower(fam, r)
 
     def test_distinct_only_matches_brute_force(self):
         rng = random.Random(99)
@@ -220,6 +226,13 @@ class TestPacking:
             assert res.value == brute_packing(fam)
             masks = [fam.masks[i] for i in res.witness]
             assert all(a & b == 0 for i, a in enumerate(masks) for b in masks[i + 1:])
+            if res.value:
+                assert res.witness == brute_first_packing(fam, res.value)
+
+    def test_deep_family_needs_no_deep_recursion(self):
+        # 1024 pairwise intersecting members: the search must not recurse
+        # once per member
+        assert packing_number(tree_family(3, 11)) == PackingResult(1, (0,))
 
 
 class TestTransversal:

@@ -87,6 +87,12 @@ class TestSceneFormat:
         with pytest.raises(ParseError):
             loads_scene("scene2 1 1\np 1/0 2\n")
 
+    @pytest.mark.parametrize("token", ["1e5", "0.5", "1_0"])
+    def test_only_integer_and_fraction_tokens(self, token):
+        # Fraction() would take these; the format has only int and num/den
+        with pytest.raises(ParseError):
+            loads_scene(f"scene2 1 1\np {token} 2\n")
+
     def test_wrong_counts_rejected(self):
         with pytest.raises(ParseError):
             loads_scene("scene2 1 2\np 0 0\n")
