@@ -5,7 +5,9 @@
 Monte-Carlo twin is chunk-seeded so its output depends only on (seed, trials),
 never on scheduling.  ``evaluate_bound`` computes every catalogued closed-form
 bound in exact big-integer / rational arithmetic; the two bounds that divide
-by e carry a certified rational enclosure instead of a float.
+by e carry a certified rational enclosure instead of a float.  A bound whose
+exact value would need more than :data:`BOUND_BIT_CAP` bits is refused, and
+each power is sized before it is raised, so a refused bound costs nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ INV_E_LO = Fraction("0.36787944117144232")
 INV_E_HI = Fraction("0.36787944117144233")
 
 _MC_CHUNK = 4096
+
+# Largest bit length of a bound's exact numerator or denominator: at most
+# 19,729 decimal digits, which print in milliseconds.
+BOUND_BIT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,19 +153,41 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+def _capped(bits: int) -> None:
+    if bits > BOUND_BIT_CAP:
+        raise ParameterError(
+            f"exact value has more than {BOUND_BIT_CAP} bits (the cap on bound values)"
+        )
+
+
+def _pow(base: int, exp: int) -> int:
+    """``base ** exp`` for ``base, exp >= 0``; refused before it is raised when
+    it would pass the cap, since it has at least exp*(bits(base)-1)+1 bits."""
+    _capped(exp * (base.bit_length() - 1) + 1)
+    return base**exp
+
+
+def _factorial(k: int) -> int:
+    """``k!``, refused before it is computed when it would pass the cap,
+    since it is at least h**h for h = k // 2."""
+    h = k // 2
+    _capped(h * (h.bit_length() - 1) + 1)
+    return math.factorial(k)
+
+
 def _bound_er(r: int, k: int) -> BoundValue:
     _require(r >= 2 and k >= 1, "ER needs r >= 2, k >= 1")
     return BoundValue(
         "ER",
         (("r", r), ("k", k)),
-        Fraction(math.factorial(k) * (r - 1) ** k),
+        Fraction(_factorial(k) * _pow(r - 1, k)),
         "k! (r-1)^k",
     )
 
 
 def _bound_t1(r: int, k: int) -> BoundValue:
     _require(r >= 3 and k >= 1, "T1 needs r >= 3, k >= 1")
-    return BoundValue("T1", (("r", r), ("k", k)), Fraction(r ** (10 * k)), "r^(10k)")
+    return BoundValue("T1", (("r", r), ("k", k)), Fraction(_pow(r, 10 * k)), "r^(10k)")
 
 
 def _bound_t2(r: int, k: int, d: int) -> BoundValue:
@@ -168,7 +196,7 @@ def _bound_t2(r: int, k: int, d: int) -> BoundValue:
     return BoundValue(
         "T2",
         (("r", r), ("k", k), ("d", d)),
-        Fraction(2**exponent),
+        Fraction(_pow(2, exponent)),
         "2^(10 k (d r)^(2 log* k))",
     )
 
@@ -176,16 +204,17 @@ def _bound_t2(r: int, k: int, d: int) -> BoundValue:
 def _bound_t3u(r: int, k: int, d: int) -> BoundValue:
     _require(d >= 1 and k >= 1 and r >= 1, "T3U needs d, k, r >= 1")
     return BoundValue(
-        "T3U", (("r", r), ("k", k), ("d", d)), Fraction((r * k) ** d), "(r k)^d"
+        "T3U", (("r", r), ("k", k), ("d", d)), Fraction(_pow(r * k, d)), "(r k)^d"
     )
 
 
 def _bound_t3l(r: int, k: int, d: int) -> BoundValue:
     _require(d >= 3 and r >= 3 and k >= 4 * d, "T3L needs d, r >= 3 and k >= 4d")
+    base = Fraction(r * k, d)
     return BoundValue(
         "T3L",
         (("r", r), ("k", k), ("d", d)),
-        Fraction(r * k, d) ** d,
+        Fraction(_pow(base.numerator, d), _pow(base.denominator, d)),
         "(r k / d)^d",
         asymptotic=True,
         note="evaluated without the o(d) correction; asymptotic form, not a certified bound",
@@ -197,7 +226,7 @@ def _bound_t7(r: int, k: int, lam: int) -> BoundValue:
     return BoundValue(
         "T7",
         (("r", r), ("k", k), ("lam", lam)),
-        Fraction((lam + r) ** (6 * lam * k)),
+        Fraction(_pow(lam + r, 6 * lam * k)),
         "(lambda + r)^(6 lambda k)",
     )
 
@@ -228,7 +257,7 @@ def _bound_l3(r: int, g: int) -> BoundValue:
     return BoundValue(
         "L3",
         (("r", r), ("g", g)),
-        Fraction(1, g ** (r - 1)),
+        Fraction(1, _pow(g, r - 1)),
         "g^(1-r) / e",
         over_e=True,
     )
@@ -236,11 +265,11 @@ def _bound_l3(r: int, g: int) -> BoundValue:
 
 def _bound_c1(r: int, k: int) -> BoundValue:
     _require(r >= 2 and k >= 2, "C1 needs r, k >= 2")
-    base = math.factorial(k) * (r - 1) ** (k + 1) + 1
+    base = _factorial(k) * _pow(r - 1, k + 1) + 1
     return BoundValue(
         "C1",
         (("r", r), ("k", k)),
-        Fraction(1, base ** (r - 1)),
+        Fraction(1, _pow(base, r - 1)),
         "(k! (r-1)^(k+1) + 1)^(1-r) / e",
         over_e=True,
     )
@@ -249,7 +278,7 @@ def _bound_c1(r: int, k: int) -> BoundValue:
 def _bound_t4(r: int, k: int) -> BoundValue:
     _require(r >= 3 and k >= 1, "T4 needs r >= 3, k >= 1")
     return BoundValue(
-        "T4", (("r", r), ("k", k)), Fraction((500 + r) ** (900 * k)), "(500 + r)^(900 k)"
+        "T4", (("r", r), ("k", k)), Fraction(_pow(500 + r, 900 * k)), "(500 + r)^(900 k)"
     )
 
 
@@ -259,7 +288,7 @@ def _bound_t6(r: int, k: int, d: int) -> BoundValue:
     return BoundValue(
         "T6",
         (("r", r), ("k", k), ("d", d)),
-        Fraction(1, 2**exponent),
+        Fraction(1, _pow(2, exponent)),
         "2^(-10 k (d r)^(2 log* k))",
     )
 
@@ -283,14 +312,19 @@ BOUND_IDS = tuple(sorted(_BOUNDS))
 
 
 def evaluate_bound(bound_id: str, **params: int) -> BoundValue:
-    """Evaluate one catalogued bound exactly; see :data:`BOUND_IDS`."""
+    """Evaluate one catalogued bound exactly; see :data:`BOUND_IDS`.
+
+    Raises :class:`ParameterError` for a value past :data:`BOUND_BIT_CAP`.
+    """
     fn = _BOUNDS.get(bound_id)
     if fn is None:
         raise ParameterError(f"unknown bound id {bound_id!r} (have {', '.join(BOUND_IDS)})")
     try:
-        return fn(**params)
+        bound = fn(**params)
     except TypeError as exc:
         raise ParameterError(f"bound {bound_id}: {exc}") from None
+    _capped(max(bound.value.numerator.bit_length(), bound.value.denominator.bit_length()))
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -364,6 +365,22 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
 # bounds
 
 
+@contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on int-to-str digits for the block, where it has one.
+    Bound values stay under ``BOUND_BIT_CAP`` bits, so they print fast."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_bounds(ns: argparse.Namespace) -> int:
     params = {}
     for name in ("r", "k", "d", "lam", "nu", "n", "g"):
@@ -371,32 +388,33 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         if value is not None:
             params[name] = value
     bound = evaluate_bound(ns.bound_id, **params)
-    lo, hi = bound.interval
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "bound_id": bound.bound_id,
-        "params": dict(bound.params),
-        "formula": bound.formula,
-        "value": _rat_json(bound.value),
-        "over_e": bound.over_e,
-        "asymptotic": bound.asymptotic,
-        "interval": [_rat_json(lo), _rat_json(hi)],
-    }
-    if bound.note:
-        payload["note"] = bound.note
-    if ns.json:
-        sys.stdout.write(_dump_json(payload))
-    else:
-        args = ", ".join(f"{k}={v}" for k, v in bound.params)
-        if bound.value.denominator == 1 and not bound.over_e:
-            shown = _abbrev_int(bound.value.numerator)
-        elif bound.over_e:
-            shown = f"({bound.value}) / e in [{float(lo):.6g}, {float(hi):.6g}]"
-        else:
-            shown = f"{_abbrev_int(bound.value.numerator)}/{_abbrev_int(bound.value.denominator)}"
-        print(f"{bound.bound_id}({args}) = {shown}   formula: {bound.formula}")
+    with _int_digits_unlimited():
+        lo, hi = bound.interval
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "bound_id": bound.bound_id,
+            "params": dict(bound.params),
+            "formula": bound.formula,
+            "value": _rat_json(bound.value),
+            "over_e": bound.over_e,
+            "asymptotic": bound.asymptotic,
+            "interval": [_rat_json(lo), _rat_json(hi)],
+        }
         if bound.note:
-            print(f"note: {bound.note}")
+            payload["note"] = bound.note
+        if ns.json:
+            sys.stdout.write(_dump_json(payload))
+        else:
+            args = ", ".join(f"{k}={v}" for k, v in bound.params)
+            if bound.value.denominator == 1 and not bound.over_e:
+                shown = _abbrev_int(bound.value.numerator)
+            elif bound.over_e:
+                shown = f"({bound.value}) / e in [{float(lo):.6g}, {float(hi):.6g}]"
+            else:
+                shown = f"{_abbrev_int(bound.value.numerator)}/{_abbrev_int(bound.value.denominator)}"
+            print(f"{bound.bound_id}({args}) = {shown}   formula: {bound.formula}")
+            if bound.note:
+                print(f"note: {bound.note}")
     return EXIT_OK
 
 

@@ -6,6 +6,17 @@ which reaches every isomorphism class at least once: scanning any family's
 members greedily by least relabeled tuple yields such a representation.  All
 constraints used for pruning (sunflower-freeness, dimension caps) are
 hereditary under taking subfamilies, so pruning never loses the optimum.
+
+Because they are hereditary, every family the search extends already meets
+them, and a candidate member can only break them through itself.  A new
+r-sunflower must contain the candidate c, so its core is c's intersection
+with each of its other r-1 members: those lie in one group of equal
+``mask & c``, with pairwise disjoint petals outside that core (c's own petal
+misses theirs).  A newly shattered (d+1)-set S must get from c the one trace
+that the old members lack, since a trace that is already there adds no new
+pattern; so only the sets S on which c's trace is new are tested, and S is
+shattered exactly when the old members show every other trace.  Each check
+thus answers, for the one new member, what a whole-family search would.
 """
 
 from __future__ import annotations
@@ -13,16 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
-from .dimensions import LittlestoneSolver, _vc_from_masks
+from .dimensions import LittlestoneSolver
 from .errors import BudgetExceededError, InvalidFamilyError, ParameterError
-from .family import (
-    Member,
-    SetFamily,
-    _sunflower_core_search,
-    mask_of,
-)
+from .family import Member, SetFamily, _disjoint_subset, columns_of, mask_of
 from .rng import Budget, seeded_rng
 
 _DESK_MEMBER_LIMIT = 1_000_000
@@ -286,13 +292,15 @@ def extremal_search(
     best_ground = 0
     max_ground_used = 0
 
-    def constraint_ok(masks: list[int]) -> bool:
+    def allowed(masks: list[int], cols: tuple[int, ...], cand: int, n: int) -> bool:
+        # ``masks`` already meets every constraint; ``cols`` are its columns
+        # and ``n`` the ground used once ``cand`` joins
+        if _sunflower_through(masks, cand, r):
+            return False
         if kind == "ls_bounded":
-            return solver.value(frozenset(masks)) <= d
+            return solver.value(frozenset(masks + [cand])) <= d
         if kind == "vc_bounded":
-            # candidates increase strictly here, so the masks are distinct
-            cap = max(mk.bit_length() for mk in masks) if masks else 0
-            return _vc_from_masks(masks, cap, None)[0] <= d
+            return not _shatters_new_set(cols, len(masks), cand, d, n)
         return True
 
     def extend(members: list[Member], masks: list[int], used: int) -> None:
@@ -305,16 +313,15 @@ def extremal_search(
             best_ground = used
         max_ground_used = max(max_ground_used, used)
         last = members[-1] if members else None
+        # a candidate's elements lie below used + k
+        cols = columns_of(masks, used + k) if kind == "vc_bounded" else ()
         for cand in _candidates(used, k, last, allow_duplicates, ground_cap):
             cmask = mask_of(cand)
-            new_masks = masks + [cmask]
-            if _sunflower_core_search(new_masks, range(len(new_masks)), r, None) is not None:
+            new_used = max(used, cmask.bit_length())
+            if not allowed(masks, cols, cmask, new_used):
                 continue
-            if not constraint_ok(new_masks):
-                continue
-            new_used = max(used, (cand[-1] + 1) if cand else used)
             members.append(cand)
-            extend(members, new_masks, new_used)
+            extend(members, masks + [cmask], new_used)
             members.pop()
 
     try:
@@ -339,6 +346,44 @@ def extremal_search(
         max_ground_used=max_ground_used,
         notes=tuple(notes),
     )
+
+
+def _sunflower_through(masks: Sequence[int], cand: int, r: int) -> bool:
+    """Whether ``cand`` and ``r - 1`` of the sunflower-free ``masks`` form an
+    r-sunflower: some group of equal ``mask & cand`` (the core) holds ``r - 1``
+    members whose petals outside the core are pairwise disjoint."""
+    groups: dict[int, list[int]] = {}
+    for mk in masks:
+        core = mk & cand
+        groups.setdefault(core, []).append(mk & ~core)
+    return any(
+        len(petals) >= r - 1 and _disjoint_subset(petals, None, r - 1) is not None
+        for petals in groups.values()
+    )
+
+
+def _shatters_new_set(cols: Sequence[int], m: int, cand: int, d: int, n: int) -> bool:
+    """Whether adding ``cand`` to ``m`` masks, with columns ``cols``, that
+    shatter no (d+1)-subset of ``range(n)`` makes one shattered.  Only the
+    sets on which ``cand``'s trace is new can become shattered, and then
+    exactly when the old masks show all the other traces."""
+    size = d + 1
+    if m + 1 < 1 << size:
+        return False  # too few members for 2^(d+1) traces
+    full = (1 << m) - 1
+    for s in combinations(range(n), size):
+        same = full  # old masks whose trace on s is cand's
+        for e in s:
+            same &= cols[e] if cand >> e & 1 else ~cols[e]
+        if same:
+            continue
+        parts = [full]
+        for e in s:
+            col = cols[e]
+            parts = [q for p in parts for q in (p & col, p & ~col) if q]
+        if len(parts) == (1 << size) - 1:
+            return True
+    return False
 
 
 def _candidates(

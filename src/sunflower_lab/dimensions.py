@@ -2,7 +2,7 @@
 
 ``vc_dimension`` ascends through shattered-set sizes apriori-style, testing
 candidates with per-element member bitmasks.  ``ls_dimension`` evaluates the
-recursive split definition with memoization on canonical subfamilies, while
+recursive split definition with memoization on subfamilies, while
 ``ls_dimension_tree`` decides shattered labelings of a complete binary tree
 directly from the tree semantics and serves as the unpruned cross-check.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ParameterError
-from .family import Member, SetFamily, _canonical_pass, columns_of, member_of
+from .family import SetFamily, columns_of, member_of
 from .rng import Budget
 
 
@@ -147,24 +147,20 @@ class LittlestoneSolver:
 
     The value of a family with at most one distinct member is 0; otherwise it
     is 1 plus the best min over the two restrictions of a splitting element.
-    Subfamilies are memoized under their canonical form, so isomorphic
+    Subfamilies are memoized under their sorted masks, so repeated
     subproblems across calls share work.  The memo stops growing at
     ``_MEMO_LIMIT`` entries and recursion proceeds uncached beyond that.
     """
 
     def __init__(self):
-        self._memo: dict[tuple[Member, ...], int] = {}
-
-    @staticmethod
-    def _key(masks: frozenset[int]) -> tuple[Member, ...]:
-        return tuple(_canonical_pass([member_of(mk) for mk in masks]))
+        self._memo: dict[tuple[int, ...], int] = {}
 
     def value(self, masks: frozenset[int], budget: Budget | None = None) -> int:
         sz = len(masks)
         if sz <= 1:
             return 0
         ub = sz.bit_length() - 1  # floor(log2 sz): distinct traces bound
-        key = self._key(masks)
+        key = tuple(sorted(masks))
         hit = self._memo.get(key)
         if hit is not None:
             return hit

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     EmptyFamilyError,
@@ -469,22 +469,29 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
         return best_i
 
     def solve(covered: int, min_elem: int, cap: int) -> bool:
-        """Can the uncovered members be hit with <= cap elements >= min_elem?"""
-        if covered == full:
-            return True
-        if cap <= 0:
-            return False
-        if greedy_lb(covered, min_elem) > cap:
-            return False
-        if b is not None:
-            b.spend()
-        i = pick_member(covered, min_elem)
-        for e in family.members[i]:
-            if e < min_elem:
-                continue
-            if solve(covered | cols[e], min_elem, cap - 1):
+        """Can the uncovered members be hit with <= cap elements >= min_elem?
+
+        Depth first over the elements of one uncovered member per node, with
+        an explicit stack of (covered, cap, untried elements), so the depth
+        of the search is not bounded by Python's recursion limit."""
+        stack: list[tuple[int, int, Iterator[int]]] = []
+        while True:
+            if covered == full:
                 return True
-        return False
+            if cap > 0 and greedy_lb(covered, min_elem) <= cap:
+                if b is not None:
+                    b.spend()
+                i = pick_member(covered, min_elem)
+                stack.append((covered, cap, (e for e in family.members[i] if e >= min_elem)))
+            while stack:
+                parent, parent_cap, untried = stack[-1]
+                e = next(untried, None)
+                if e is not None:
+                    covered, cap = parent | cols[e], parent_cap - 1
+                    break
+                stack.pop()
+            else:
+                return False
 
     tau = 1
     while not solve(0, 0, tau):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from sunflower_lab import (
     vc_dimension,
     write_setfam,
 )
-from sunflower_lab.alpha import INV_E_HI, INV_E_LO
+from sunflower_lab.alpha import BOUND_BIT_CAP, INV_E_HI, INV_E_LO
 from sunflower_lab.cli import _analyze_file
 
 from oracles import random_family
@@ -184,6 +185,34 @@ class TestEvaluateBound:
             values = [evaluate_bound(bid, k=k, **params).value for k in (2, 3, 4, 5)]
             assert values == sorted(values)
             assert len(set(values)) == len(values)
+
+    def test_value_past_bit_cap_refused_before_it_is_computed(self):
+        # T2 at (3, 20, 5) has a 2.3-billion-bit value; T6 is its reciprocal
+        for bid, params in (
+            ("T2", dict(r=3, k=20, d=5)),
+            ("T6", dict(r=3, k=20, d=5)),
+            ("T1", dict(r=3, k=10**9)),
+            ("T4", dict(r=3, k=10**6)),
+            ("T7", dict(r=3, k=10**6, lam=10**6)),
+            ("ER", dict(r=3, k=10**9)),
+            ("C1", dict(r=3, k=10**9)),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ParameterError, match="bits"):
+                evaluate_bound(bid, **params)
+            assert time.perf_counter() - start < 0.5, bid
+
+    def test_bit_cap_is_exact(self):
+        # T3U at r=1, k=2 is 2^d, of d + 1 bits
+        assert evaluate_bound("T3U", r=1, k=2, d=BOUND_BIT_CAP - 1).value == 2 ** (
+            BOUND_BIT_CAP - 1
+        )
+        with pytest.raises(ParameterError):
+            evaluate_bound("T3U", r=1, k=2, d=BOUND_BIT_CAP)
+        # ER at r=2 is k!: 54,233 bits at k=5000, 66,656 at k=6000
+        assert evaluate_bound("ER", r=2, k=5000).value == math.factorial(5000)
+        with pytest.raises(ParameterError):
+            evaluate_bound("ER", r=2, k=6000)
 
     def test_unknown_id(self):
         with pytest.raises(ParameterError):

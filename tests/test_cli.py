@@ -234,6 +234,22 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "T1", "--r", "2", "--k", "1")
         assert code == EXIT_PARSE
 
+    def test_value_past_bit_cap_is_a_parameter_error(self, capsys):
+        # a 328,050-bit value: refused with exit 2, not a traceback
+        code, stdout, err = run_cli(capsys, "bounds", "T2", "--r", "3", "--k", "5", "--d", "3")
+        assert code == EXIT_PARSE
+        assert stdout == ""
+        assert "65536 bits" in err
+
+    def test_values_past_int_str_limit_print(self, capsys):
+        # 10^5000 has more digits than Python's default int-to-str limit
+        code, stdout, _ = run_cli(capsys, "bounds", "T1", "--r", "10", "--k", "500")
+        assert code == EXIT_OK
+        assert "= 1.000000e+5000 (5001 digits)" in stdout
+        code, stdout, _ = run_cli(capsys, "bounds", "T1", "--r", "10", "--k", "500", "--json")
+        assert code == EXIT_OK
+        assert f'"num": 1{"0" * 5000}\n' in stdout
+
 
 class TestExtremalCommand:
     def test_ls_kind(self, capsys):

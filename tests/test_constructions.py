@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunflower_lab import (
     ParameterError,
@@ -14,6 +16,9 @@ from sunflower_lab import (
     tree_family,
     vc_dimension,
 )
+from sunflower_lab.constructions import _shatters_new_set, _sunflower_through
+from sunflower_lab.dimensions import _vc_from_masks
+from sunflower_lab.family import _sunflower_core_search, columns_of, mask_of
 
 
 class TestTreeFamily:
@@ -230,3 +235,112 @@ class TestExtremalSearch:
         res = extremal_search("ls_bounded", 3, 2, d=1)
         assert res.witness.m == res.exact_value - 1
         assert res.nodes > 0
+
+
+# (kind, r, k, d) -> (exact_value, nodes, max_ground_used, witness members)
+# for the eight cases of the extremal benchmark
+EXTREMAL_SUITE = {
+    ("family", 3, 2, None): (7, 30, 6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
+    ("family", 4, 2, None): (
+        11,
+        4178,
+        12,
+        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)),
+    ),
+    ("multifamily", 3, 2, None): (
+        13,
+        479,
+        6,
+        ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2),
+         (3, 4), (3, 4), (3, 5), (3, 5), (4, 5), (4, 5)),
+    ),
+    ("ls_bounded", 3, 3, 1): (5, 90, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ("ls_bounded", 4, 2, 1): (5, 20, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
+    ("ls_bounded", 3, 4, 1): (
+        6,
+        636,
+        12,
+        ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
+    ),
+    ("vc_bounded", 3, 3, 1): (
+        9,
+        1375,
+        14,
+        ((0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6),
+         (7, 8, 9), (7, 8, 10), (7, 11, 12), (7, 11, 13)),
+    ),
+    ("vc_bounded", 4, 2, 1): (
+        10,
+        173,
+        12,
+        ((0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (8, 9), (8, 10), (8, 11)),
+    ),
+}
+
+
+class TestExtremalPinned:
+    """Value, node count and witness of each search stay fixed: a change to
+    the per-node checks must keep every pruning decision."""
+
+    @pytest.mark.parametrize(
+        "case", list(EXTREMAL_SUITE), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_suite_case(self, case):
+        kind, r, k, d = case
+        value, nodes, ground, witness = EXTREMAL_SUITE[case]
+        res = extremal_search(kind, r, k, d=d)
+        assert res.exact
+        assert (res.exact_value, res.nodes, res.max_ground_used) == (value, nodes, ground)
+        assert res.witness.members == witness
+        assert res.witness.ground_size == 1 + max(e for mem in witness for e in mem)
+
+    @pytest.mark.parametrize(
+        "kind, r, k, budget, value, ground",
+        [("vc_bounded", 3, 3, 300, 9, 14), ("ls_bounded", 3, 4, 100, 6, 11)],
+    )
+    def test_budget_abort_point(self, kind, r, k, budget, value, ground):
+        res = extremal_search(kind, r, k, d=1, node_budget=budget)
+        assert not res.exact
+        assert (res.exact_value, res.nodes, res.max_ground_used) == (value, budget + 1, ground)
+        assert res.witness.members == EXTREMAL_SUITE[(kind, r, k, 1)][3]
+
+
+@st.composite
+def parents_and_member(draw):
+    """A k-uniform parent that has no r-sunflower and VC dimension <= d, kept
+    greedily from random k-sets, and one more k-set; ``multi`` allows
+    repeated members."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, min(3, n)))
+    r = draw(st.integers(3, 4))
+    d = draw(st.integers(0, 2))
+    multi = draw(st.booleans())
+    ksets = st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(mask_of)
+    parent: list[int] = []
+    for mk in draw(st.lists(ksets, max_size=14)):
+        trial = parent + [mk]
+        if not multi and mk in parent:
+            continue
+        if _sunflower_core_search(trial, range(len(trial)), r, None) is not None:
+            continue
+        if _vc_from_masks(trial, n)[0] <= d:
+            parent.append(mk)
+    return n, r, d, parent, draw(ksets)
+
+
+class TestIncrementalChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(parents_and_member())
+    def test_sunflower_through_new_member(self, case):
+        _, r, _, parent, cand = case
+        family = parent + [cand]
+        whole = _sunflower_core_search(family, range(len(family)), r, None)
+        assert _sunflower_through(parent, cand, r) == (whole is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parents_and_member())
+    def test_new_shattered_set(self, case):
+        n, _, d, parent, cand = case
+        cols = columns_of(parent, n)
+        whole = _vc_from_masks(parent + [cand], n)[0]
+        assert _shatters_new_set(cols, len(parent), cand, d, n) == (whole > d)

@@ -127,6 +127,15 @@ class TestLsDimensionTree:
                 validate_shatter_tree(fam, tree, value)
             assert not beyond
 
+    def test_shared_solver_agrees_with_tree_route(self, small_corpus):
+        # one memo across the whole corpus: no entry may answer for another
+        # family
+        solver = LittlestoneSolver()
+        for fam in small_corpus:
+            value, _ = ls_dimension(fam, solver=solver)
+            assert ls_dimension_tree(fam, value)[0] == bool(fam.m)
+            assert not ls_dimension_tree(fam, value + 1)[0]
+
 
 class TestSauerShelah:
     def test_small_values(self):

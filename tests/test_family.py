@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from sunflower_lab import (
     ParameterError,
     SetFamily,
     Sunflower,
+    TransversalResult,
     canonicalize,
     count_sunflower_tuples,
     dual_family,
@@ -266,6 +269,20 @@ class TestTransversal:
         assert transversal_number(fam).witness == (3,)
         fam2 = SetFamily.from_sets(4, [[0, 1], [0, 2], [1, 2]])
         assert transversal_number(fam2).witness == (0, 1)
+
+    def test_deep_transversal_needs_no_deep_recursion(self):
+        # 120 disjoint singletons need 120 nested choices; with the recursion
+        # limit only 50 frames above the current depth, a search that recursed
+        # once per chosen element would raise RecursionError
+        fam = SetFamily(120, tuple((e,) for e in range(120)))
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            res = transversal_number(fam)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res == TransversalResult(120, tuple(range(120)))
 
 
 class TestLambda:
