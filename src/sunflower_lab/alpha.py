@@ -7,7 +7,8 @@ never on scheduling.  ``evaluate_bound`` computes every catalogued closed-form
 bound in exact big-integer / rational arithmetic; the two bounds that divide
 by e carry a certified rational enclosure instead of a float.  A bound whose
 exact value would need more than :data:`BOUND_BIT_CAP` bits is refused, and
-each power is sized before it is raised, so a refused bound costs nothing.
+each power, factorial and binomial is sized before it is built, so a refused
+bound costs next to nothing.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+_PAST_CAP = f"exact value has more than {BOUND_BIT_CAP} bits (the cap on bound values)"
+
+
 def _capped(bits: int) -> None:
     if bits > BOUND_BIT_CAP:
-        raise ParameterError(
-            f"exact value has more than {BOUND_BIT_CAP} bits (the cap on bound values)"
-        )
+        raise ParameterError(_PAST_CAP)
 
 
 def _pow(base: int, exp: int) -> int:
@@ -173,6 +175,15 @@ def _factorial(k: int) -> int:
     h = k // 2
     _capped(h * (h.bit_length() - 1) + 1)
     return math.factorial(k)
+
+
+def _binomial_bits(n: int, k: int) -> int:
+    """A lower bound on the bit length of C(n, k) for 0 <= k <= n, from
+    C(n, k) >= (n/j)^j >= (n//j)^j for j = min(k, n - k)."""
+    j = min(k, n - k)
+    if j == 0:
+        return 1
+    return j * ((n // j).bit_length() - 1) + 1
 
 
 def _bound_er(r: int, k: int) -> BoundValue:
@@ -233,6 +244,8 @@ def _bound_t7(r: int, k: int, lam: int) -> BoundValue:
 
 def _bound_dsw(lam: int, nu: int) -> BoundValue:
     _require(lam >= 1 and nu >= 0, "DSW needs lambda >= 1, nu >= 0")
+    # the value is at least the binomial's square
+    _capped(2 * _binomial_bits(lam + nu, lam) - 1)
     value = 11 * lam**2 * (lam + nu + 3) * math.comb(lam + nu, lam) ** 2
     return BoundValue(
         "DSW",
@@ -244,12 +257,12 @@ def _bound_dsw(lam: int, nu: int) -> BoundValue:
 
 def _bound_ss(n: int, d: int) -> BoundValue:
     _require(n >= 0 and d >= 0, "SS needs n, d >= 0")
-    return BoundValue(
-        "SS",
-        (("n", n), ("d", d)),
-        Fraction(sauer_shelah_capacity(n, d)),
-        "sum_{i<=d} C(n, i)",
-    )
+    _capped(_binomial_bits(n, min(d, n // 2)))  # the sum's largest term
+    try:
+        value = sauer_shelah_capacity(n, d, BOUND_BIT_CAP)
+    except ParameterError:
+        raise ParameterError(_PAST_CAP) from None
+    return BoundValue("SS", (("n", n), ("d", d)), Fraction(value), "sum_{i<=d} C(n, i)")
 
 
 def _bound_l3(r: int, g: int) -> BoundValue:

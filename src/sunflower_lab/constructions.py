@@ -328,6 +328,10 @@ def extremal_search(
         extend([], [], 0)
     except BudgetExceededError:
         aborted = True
+    # ``extend`` reaches itself, and the solver's memo, through its closure:
+    # dropping it breaks that cycle, so the memo is freed when the search
+    # returns rather than at some later cyclic garbage collection
+    del extend
 
     witness = SetFamily(best_ground, tuple(best), allow_duplicates)
     notes = []

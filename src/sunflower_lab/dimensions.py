@@ -9,7 +9,6 @@ directly from the tree semantics and serves as the unpruned cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -96,7 +95,8 @@ def _vc_from_masks(
             parts = nxt
         return True
 
-    # level-by-level ascent: a set can be shattered only if all its subsets are
+    # level-by-level ascent: a set can be shattered only if all its subsets
+    # are, and only by elements of the members containing it (its all-in trace)
     level: list[tuple[int, ...]] = [()]
     best: tuple[int, ...] = ()
     max_d = md.bit_length() - 1 if md else 0  # 2^d distinct traces need m >= 2^d
@@ -105,8 +105,14 @@ def _vc_from_masks(
         nxt: list[tuple[int, ...]] = []
         for t in level:
             lo = t[-1] + 1 if t else 0
-            for v in range(lo, n):
-                cand = t + (v,)
+            holders = full
+            for e in t:
+                holders &= cols[e]
+            elems = 0
+            for i in member_of(holders):
+                elems |= masks[i]
+            for v in member_of(elems >> lo):
+                cand = t + (v + lo,)
                 if all(cand[:i] + cand[i + 1:] in prev for i in range(len(cand) - 1)):
                     if shattered(cand):
                         nxt.append(cand)
@@ -128,11 +134,32 @@ def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tup
     return _vc_from_masks(distinct.masks, family.ground_size, b)
 
 
-def sauer_shelah_capacity(n: int, d: int) -> int:
-    """Exact sum of binomials C(n, 0) + ... + C(n, d)."""
+def sauer_shelah_capacity(n: int, d: int, max_bits: int | None = None) -> int:
+    """Exact sum of binomials C(n, 0) + ... + C(n, d).
+
+    Each term is made from the one before, C(n, i+1) = C(n, i) (n-i) / (i+1),
+    and past n/2 the sum is 2^n less the mirrored terms C(n, n-i), so at
+    most n/2 terms are made.  With ``max_bits``, a sum that needs more bits
+    raises :class:`ParameterError`, and no term longer than ``max_bits`` plus
+    the bit length of ``n`` is made first.
+    """
     if n < 0 or d < 0:
         raise ParameterError("sauer_shelah_capacity needs n, d >= 0")
-    return sum(math.comb(n, i) for i in range(min(n, d) + 1))
+    past = f"exact value has more than {max_bits} bits"
+    if 2 * d >= n:
+        if max_bits is not None and n > max_bits:  # the sum is at least 2^(n-1)
+            raise ParameterError(past)
+        total = (1 << n) - (sauer_shelah_capacity(n, n - d - 1) if d < n else 0)
+    else:
+        total = term = 1
+        for i in range(d):
+            term = term * (n - i) // (i + 1)
+            total += term
+            if max_bits is not None and total.bit_length() > max_bits:
+                break
+    if max_bits is not None and total.bit_length() > max_bits:
+        raise ParameterError(past)
+    return total
 
 
 # ---------------------------------------------------------------------------

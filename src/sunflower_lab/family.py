@@ -278,37 +278,47 @@ def _disjoint_subset(
     ``size`` of them (``None`` if there are none), or, without ``size``, the
     least largest such subset.  Depth first, "include" first; a position is
     tried while enough remain to reach ``size``, or one more than the best so
-    far, so the recursion is only as deep as the subset."""
+    far.  The open ancestors of the current node keep their untried
+    positions and the union of the masks chosen above them on an explicit
+    stack, so the depth of the subset is not bounded by Python's recursion
+    limit."""
     total = len(masks)
     chosen: list[int] = []
     best: list[int] = []
-
-    def dfs(pos: int, used: int) -> bool:
-        nonlocal best
+    stack: list[tuple[Iterator[int], int]] = []
+    pos, used = 0, 0
+    while True:
+        # a new node: ``chosen`` ends before ``pos`` and covers ``used``
         if len(chosen) > len(best):
             best = chosen.copy()
             if len(best) == size:
-                return True
+                return tuple(best)
         goal = len(best) + 1 if size is None else size
-        if len(chosen) + (total - pos) < goal:
-            return False
-        if budget is not None:
-            budget.spend()
-        for t in range(pos, total):
-            if len(chosen) + (total - t) < goal:
-                return False
-            if masks[t] & used == 0:
-                chosen.append(t)
-                if dfs(t + 1, used | masks[t]):
-                    return True
-                chosen.pop()
-                if size is None:
-                    goal = len(best) + 1
-        return False
-
-    if dfs(0, 0) or size is None:
-        return tuple(best)
-    return None
+        if len(chosen) + (total - pos) >= goal:
+            if budget is not None:
+                budget.spend()
+            untried = iter(range(pos, total))
+        else:
+            untried = iter(())
+        # the next disjoint position of this node, or else of its ancestors
+        while True:
+            depth = len(chosen)
+            # from a position past ``last``, too few remain to reach the goal
+            last = total + depth - (len(best) + 1 if size is None else size)
+            for t in untried:
+                if t > last:
+                    break
+                if masks[t] & used == 0:
+                    stack.append((untried, used))
+                    chosen.append(t)
+                    pos, used = t + 1, used | masks[t]
+                    break
+            if len(chosen) > depth:
+                break
+            if not stack:
+                return tuple(best) if size is None else None
+            untried, used = stack.pop()
+            chosen.pop()
 
 
 def _sunflower_core_search(
@@ -524,9 +534,11 @@ def lambda_number(
     them, a witness element lying in exactly that pair (among the chosen l).
 
     The property is hereditary, so a depth-first search over index subsets
-    extends only satisfying sets.  ``cap_hit`` reports that the cap was
-    reached while more members were available, in which case the value is a
-    lower bound only.
+    extends only satisfying sets: each node takes, from the column bitmasks,
+    the bitset of the later members that keep the property
+    (:func:`_pair_witness_extensions`) and walks it in ascending order.
+    ``cap_hit`` reports that the cap was reached while more members were
+    available, in which case the value is a lower bound only.
     """
     if cap < 1:
         raise ParameterError("lambda cap must be >= 1")
@@ -534,21 +546,10 @@ def lambda_number(
     m = family.m
     if m == 0:
         return LambdaResult(0, (), cap, False)
+    cols = family.columns
     cap_eff = min(cap, m)
     b = Budget(budget) if budget is not None else None
     best: list[int] = []
-
-    def satisfies(chosen: list[int]) -> bool:
-        union = [masks[i] for i in chosen]
-        for a in range(len(chosen)):
-            for c in range(a + 1, len(chosen)):
-                others = 0
-                for t in range(len(chosen)):
-                    if t != a and t != c:
-                        others |= union[t]
-                if (union[a] & union[c]) & ~others == 0:
-                    return False
-        return True
 
     def dfs(start: int, chosen: list[int]) -> None:
         nonlocal best
@@ -558,19 +559,54 @@ def lambda_number(
             return
         if b is not None:
             b.spend()
-        for i in range(start, m):
+        ext = _pair_witness_extensions(masks, cols, chosen) >> start
+        while ext:
+            low = ext & -ext
+            i = start + low.bit_length() - 1
             if len(chosen) + (m - i) <= len(best):
                 break
             chosen.append(i)
-            if satisfies(chosen):
-                dfs(i + 1, chosen)
+            dfs(i + 1, chosen)
             chosen.pop()
             if len(best) == cap_eff:
                 return
+            ext ^= low
 
     dfs(0, [])
     cap_hit = len(best) == cap and cap < m
     return LambdaResult(len(best), tuple(best), cap, cap_hit)
+
+
+def _pair_witness_extensions(
+    masks: Sequence[int], cols: Sequence[int], chosen: Sequence[int]
+) -> int:
+    """Bitset of the members l outside ``chosen`` such that ``chosen`` plus l
+    still has, for every pair, a witness element lying in that pair only;
+    ``chosen`` must have that property itself.
+
+    l must meet each chosen x's own elements (those in no other chosen
+    member), and must not contain all the private elements of any chosen
+    pair (those in the pair's two members only): one OR, and one AND, of
+    element columns each."""
+    ext = (1 << len(masks)) - 1
+    once = twice = seen = 0
+    for i in chosen:
+        mk = masks[i]
+        ext &= ~(1 << i)
+        twice = (twice & ~mk) | (once & mk)
+        once = (once & ~mk) | (mk & ~seen)
+        seen |= mk
+    for a, x in enumerate(chosen):
+        meets = 0
+        for e in member_of(masks[x] & once):
+            meets |= cols[e]
+        ext &= meets
+        for y in chosen[a + 1:]:
+            covers = ext
+            for e in member_of(masks[x] & masks[y] & twice):
+                covers &= cols[e]
+            ext &= ~covers
+    return ext
 
 
 # ---------------------------------------------------------------------------

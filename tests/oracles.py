@@ -131,6 +131,37 @@ def brute_lambda(family: SetFamily) -> int:
     return best
 
 
+def brute_first_lambda(family: SetFamily, cap: int) -> tuple[int, ...]:
+    """The first index tuple in ``combinations`` order among the largest ones,
+    of at most ``cap`` members, that have for every pair a witness element
+    lying in that pair only: the lexicographically least maximum set."""
+    members = [frozenset(mem) for mem in family.members]
+    for size in range(min(cap, len(members)), 0, -1):
+        for combo in combinations(range(len(members)), size):
+            if all(
+                (members[a] & members[b])
+                - frozenset().union(*[members[t] for t in combo if t not in (a, b)])
+                for a, b in combinations(combo, 2)
+            ):
+                return combo
+    return ()
+
+
+def brute_least_shattered(family: SetFamily) -> tuple[int, ...]:
+    """The first shattered element tuple in ``combinations`` order among the
+    largest ones (the empty tuple for the empty family)."""
+    members = [frozenset(mem) for mem in family.members]
+    if not members:
+        return ()
+    ground = range(family.ground_size)
+    for size in range(family.ground_size, -1, -1):
+        for cand in combinations(ground, size):
+            cset = frozenset(cand)
+            if len({m & cset for m in members}) == 2**size:
+                return cand
+    raise AssertionError("the empty set is always shattered")
+
+
 def validate_shatter_tree(family: SetFamily, tree: ShatterTree, depth: int) -> None:
     """Walk a witness tree checking uniform depth and trace consistency."""
 

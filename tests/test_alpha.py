@@ -202,6 +202,33 @@ class TestEvaluateBound:
                 evaluate_bound(bid, **params)
             assert time.perf_counter() - start < 0.5, bid
 
+    def test_ss_and_dsw_are_sized_before_they_are_built(self):
+        # at d >= n the sum is 2^n: of 65,536 bits at n = 65,535, one too many
+        # at n = 65,536
+        assert evaluate_bound("SS", n=BOUND_BIT_CAP - 1, d=BOUND_BIT_CAP).value == 2 ** (
+            BOUND_BIT_CAP - 1
+        )
+        # refused from a lower bound on the largest binomial, or, at
+        # (130000, 64999), where that bound is under the cap, by the sum
+        # passing it after some 15,000 of its 65,000 terms
+        for n, d, limit in (
+            (BOUND_BIT_CAP, BOUND_BIT_CAP, 0.05),
+            (10**18, 10**17, 0.05),
+            (3 * 10**5, 10**5, 0.05),
+            (130000, 64999, 2.0),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ParameterError, match="65536 bits"):
+                evaluate_bound("SS", n=n, d=d)
+            assert time.perf_counter() - start < limit, (n, d)
+        # DSW at (16000, 16000) has 64,031 bits
+        lam = 16000
+        assert evaluate_bound("DSW", lam=lam, nu=lam).value == (
+            11 * lam**2 * (2 * lam + 3) * math.comb(2 * lam, lam) ** 2
+        )
+        with pytest.raises(ParameterError, match="65536 bits"):
+            evaluate_bound("DSW", lam=10**9, nu=10**9)
+
     def test_bit_cap_is_exact(self):
         # T3U at r=1, k=2 is 2^d, of d + 1 bits
         assert evaluate_bound("T3U", r=1, k=2, d=BOUND_BIT_CAP - 1).value == 2 ** (

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from sunflower_lab.cli import (
     EXIT_OTHER,
     EXIT_PARSE,
     _analyze_file,
+    _int_digits_unlimited,
     main,
 )
 
@@ -237,6 +240,26 @@ class TestBoundsCommand:
     def test_value_past_bit_cap_is_a_parameter_error(self, capsys):
         # a 328,050-bit value: refused with exit 2, not a traceback
         code, stdout, err = run_cli(capsys, "bounds", "T2", "--r", "3", "--k", "5", "--d", "3")
+        assert code == EXIT_PARSE
+        assert stdout == ""
+        assert "65536 bits" in err
+
+    def test_ss_is_summed_by_the_running_ratio(self, capsys):
+        # a 20,000-bit sum of 10,001 binomials, under the cap
+        start = time.perf_counter()
+        code, stdout, _ = run_cli(capsys, "bounds", "SS", "--n", "20000", "--d", "10000", "--json")
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_OK
+        # by symmetry, the binomials up to n/2 sum to 2^(n-1) + C(n, n/2)/2
+        with _int_digits_unlimited():
+            want = str(2**19999 + math.comb(20000, 10000) // 2)
+        assert f'"num": {want}\n' in stdout
+
+    def test_dsw_is_sized_before_its_binomial_is_built(self, capsys):
+        # C(400000, 200000) alone has about 400,000 bits
+        start = time.perf_counter()
+        code, stdout, err = run_cli(capsys, "bounds", "DSW", "--lam", "200000", "--nu", "200000")
+        assert time.perf_counter() - start < 0.05
         assert code == EXIT_PARSE
         assert stdout == ""
         assert "65536 bits" in err

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import chain, combinations
 
@@ -16,7 +17,7 @@ from sunflower_lab import (
 )
 from sunflower_lab.dimensions import LittlestoneSolver
 
-from oracles import brute_vc, random_family, validate_shatter_tree
+from oracles import brute_least_shattered, brute_vc, random_family, validate_shatter_tree
 
 
 def power_set_family(d):
@@ -52,9 +53,13 @@ class TestVcDimension:
             d, witness = vc_dimension(fam)
             assert d == brute_vc(fam)
             assert len(witness) == d
-            # the witness really is shattered
-            traces = {frozenset(mem) & frozenset(witness) for mem in fam.members}
-            assert len(traces) == 2**d or fam.m == 0
+            assert witness == brute_least_shattered(fam)
+
+    def test_multifamily_witness_is_least(self):
+        rng = random.Random(53)
+        for it in range(150):
+            fam = random_family(rng, max_m=12, max_n=6, multifamily=it % 2 == 0)
+            assert vc_dimension(fam)[1] == brute_least_shattered(fam)
 
 
 class TestLsDimension:
@@ -146,6 +151,18 @@ class TestSauerShelah:
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             sauer_shelah_capacity(-1, 0)
+
+    def test_matches_binomial_sums_and_max_bits_is_exact(self):
+        for n in range(0, 30):
+            for d in range(0, 32):
+                want = sum(math.comb(n, i) for i in range(min(n, d) + 1))
+                assert sauer_shelah_capacity(n, d) == want
+                for max_bits in range(0, 32):
+                    if want.bit_length() <= max_bits:
+                        assert sauer_shelah_capacity(n, d, max_bits) == want
+                    else:
+                        with pytest.raises(ParameterError):
+                            sauer_shelah_capacity(n, d, max_bits)
 
     def test_bounds_every_family(self, small_corpus):
         for fam in small_corpus:

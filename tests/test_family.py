@@ -2,15 +2,18 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunflower_lab import (
+    BudgetExceededError,
     EmptyFamilyError,
     EmptyMemberError,
     InvalidFamilyError,
+    LambdaResult,
     PackingResult,
     ParameterError,
     SetFamily,
@@ -29,9 +32,11 @@ from sunflower_lab import (
     tree_family,
     vc_dimension,
 )
+from sunflower_lab.family import _pair_witness_extensions
 
 from oracles import (
     brute_count_tuples,
+    brute_first_lambda,
     brute_first_packing,
     brute_has_sunflower,
     brute_lambda,
@@ -237,6 +242,20 @@ class TestPacking:
         # once per member
         assert packing_number(tree_family(3, 11)) == PackingResult(1, (0,))
 
+    def test_deep_packing_needs_no_deep_recursion(self):
+        # 1,100 disjoint singletons are chosen one inside the other; with the
+        # recursion limit only 50 frames above the current depth, a search
+        # that recursed once per chosen member would raise RecursionError
+        fam = SetFamily(1100, tuple((e,) for e in range(1100)))
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            res = packing_number(fam)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res == PackingResult(1100, tuple(range(1100)))
+
 
 class TestTransversal:
     def test_disjoint_members(self):
@@ -308,6 +327,50 @@ class TestLambda:
             res = lambda_number(fam, cap=10)
             if not res.cap_hit:
                 assert res.value == brute_lambda(fam)
+            assert res.witness == brute_first_lambda(fam, 10)
+
+    def test_capped_witness_is_least(self):
+        rng = random.Random(47)
+        for it in range(150):
+            fam = random_family(rng, max_m=9, max_n=6, multifamily=it % 2 == 0)
+            for cap in (1, 2, 3):
+                res = lambda_number(fam, cap=cap)
+                assert res.witness == brute_first_lambda(fam, cap)
+                assert res.value == len(res.witness)
+
+    @settings(max_examples=200, deadline=None)
+    @given(families(max_m=9, max_n=6), st.data())
+    def test_extension_bitset_is_the_pair_witness_check(self, fam, data):
+        # grow a random set with the property, then compare the bitset with
+        # the definition, checked member by member
+        def has_property(idx):
+            for a, b in combinations(idx, 2):
+                others = 0
+                for t in idx:
+                    if t not in (a, b):
+                        others |= fam.masks[t]
+                if fam.masks[a] & fam.masks[b] & ~others == 0:
+                    return False
+            return True
+
+        chosen: list[int] = []
+        while True:
+            ext = _pair_witness_extensions(fam.masks, fam.columns, chosen)
+            literal = [i for i in range(fam.m) if i not in chosen and has_property(chosen + [i])]
+            assert ext == sum(1 << i for i in literal)
+            if not literal:
+                break
+            chosen.append(data.draw(st.sampled_from(literal)))
+
+    def test_budget_aborts_pinned(self):
+        # the search on tree_family(3, 6) visits 496 nodes in a fixed order:
+        # a smaller budget aborts at its (budget + 1)-th node
+        fam = tree_family(3, 6)
+        for budget in (1, 10, 100, 495):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                lambda_number(fam, budget=budget)
+        for budget in (496, 1000):
+            assert lambda_number(fam, budget=budget) == LambdaResult(2, (0, 1), 8, False)
 
 
 class TestDual:
