@@ -17,6 +17,10 @@ that the old members lack, since a trace that is already there adds no new
 pattern; so only the sets S on which c's trace is new are tested, and S is
 shattered exactly when the old members show every other trace.  Each check
 thus answers, for the one new member, what a whole-family search would.
+The Littlestone cap does evaluate the whole family, but the members along
+the search path are pushed onto one solver on the way down and popped on
+backtrack, so its memo of the fixed prefix's subfamilies serves the whole
+subtree.
 """
 
 from __future__ import annotations
@@ -298,7 +302,12 @@ def extremal_search(
         if _sunflower_through(masks, cand, r):
             return False
         if kind == "ls_bounded":
-            return solver.value(frozenset(masks + [cand])) <= d
+            # an accepted candidate stays pushed while its subtree is searched
+            solver.push(cand)
+            if solver.value((1 << (len(masks) + 1)) - 1) > d:
+                solver.pop()
+                return False
+            return True
         if kind == "vc_bounded":
             return not _shatters_new_set(cols, len(masks), cand, d, n)
         return True
@@ -323,6 +332,8 @@ def extremal_search(
             members.append(cand)
             extend(members, masks + [cmask], new_used)
             members.pop()
+            if kind == "ls_bounded":
+                solver.pop()
 
     try:
         extend([], [], 0)

@@ -2,9 +2,9 @@
 
 ``vc_dimension`` ascends through shattered-set sizes apriori-style, testing
 candidates with per-element member bitmasks.  ``ls_dimension`` evaluates the
-recursive split definition with memoization on subfamilies, while
-``ls_dimension_tree`` decides shattered labelings of a complete binary tree
-directly from the tree semantics and serves as the unpruned cross-check.
+recursive split definition on member-selection bitsets with memoization,
+while ``ls_dimension_tree`` decides shattered labelings of a complete binary
+tree directly from the tree semantics and serves as the unpruned cross-check.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ class ShatterTree:
     def is_leaf(self) -> bool:
         return self.member is not None
 
-    def depth(self) -> int:
-        if self.is_leaf():
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def to_dict(self) -> dict:
         if self.is_leaf():
             return {"member": self.member}
@@ -55,14 +50,6 @@ class ShatterTree:
             "left": self.left.to_dict(),
             "right": self.right.to_dict(),
         }
-
-
-@dataclass(frozen=True)
-class DimensionReport:
-    vc: int
-    vc_witness: tuple[int, ...]
-    ls: int
-    ls_witness: Optional[ShatterTree]
 
 
 # ---------------------------------------------------------------------------
@@ -170,112 +157,122 @@ _MEMO_LIMIT = 200_000
 
 
 class LittlestoneSolver:
-    """Memoized evaluator of the recursive split definition.
+    """Memoized evaluator of the recursive split definition on member bitsets.
 
-    The value of a family with at most one distinct member is 0; otherwise it
-    is 1 plus the best min over the two restrictions of a splitting element.
-    Subfamilies are memoized under their sorted masks, so repeated
-    subproblems across calls share work.  The memo stops growing at
-    ``_MEMO_LIMIT`` entries and recursion proceeds uncached beyond that.
+    A subfamily is a bitset ``sel`` over the distinct members; its value is 0
+    with at most one member, else 1 plus the best min over the two sides,
+    ``sel & cols[e]`` and the rest, of a splitting element e.  ``push`` adds a
+    member at the next index and ``pop`` removes the last, with the memo
+    entries that select it: entries are grouped by their highest member.  The
+    memo holds at most ``_MEMO_LIMIT`` entries in all.
     """
 
-    def __init__(self):
-        self._memo: dict[tuple[int, ...], int] = {}
+    def __init__(self, masks: Sequence[int] = ()):
+        self._cols: list[int] = []
+        self._memo: list[dict[int, int]] = []
+        self._memo_size = 0
+        for mk in masks:
+            self.push(mk)
 
-    def value(self, masks: frozenset[int], budget: Budget | None = None) -> int:
-        sz = len(masks)
+    def push(self, mask: int) -> None:
+        """Add ``mask``, which no member equals, as the next member."""
+        bit = 1 << len(self._memo)
+        cols = self._cols
+        cols.extend([0] * (mask.bit_length() - len(cols)))
+        for e in member_of(mask):
+            cols[e] |= bit
+        self._memo.append({})
+
+    def pop(self) -> None:
+        """Remove the last member and every memo entry that selects it."""
+        self._memo_size -= len(self._memo.pop())
+        keep = ~(1 << len(self._memo))
+        self._cols = [col & keep for col in self._cols]
+
+    def value(self, sel: int, budget: Budget | None = None) -> int:
+        """Littlestone dimension of the members selected by ``sel``."""
+        return self._value(sel, range(len(self._cols)), budget)
+
+    def _value(self, sel: int, elems: Sequence[int], budget: Budget | None) -> int:
+        # ``elems`` includes every element that splits ``sel``
+        sz = sel.bit_count()
         if sz <= 1:
             return 0
-        ub = sz.bit_length() - 1  # floor(log2 sz): distinct traces bound
-        key = tuple(sorted(masks))
-        hit = self._memo.get(key)
+        memo = self._memo[sel.bit_length() - 1]
+        hit = memo.get(sel)
         if hit is not None:
             return hit
         if budget is not None:
             budget.spend()
 
-        union = 0
-        for mk in masks:
-            union |= mk
-        counts: dict[int, int] = {}
-        for e in member_of(union):
-            bit = 1 << e
-            counts[e] = sum(1 for mk in masks if mk & bit)
-        # splitting elements only: others contribute exactly 1, matched below
-        cands = sorted(
-            ((min(c, sz - c), e) for e, c in counts.items() if 0 < c < sz),
-            key=lambda t: (-t[0], t[1]),
-        )
+        cols = self._cols
+        cands = []
+        for e in elems:
+            c = (sel & cols[e]).bit_count()
+            if 0 < c < sz:
+                cands.append((-min(c, sz - c), e))
+        # splitting elements only: others contribute exactly 1, matched below;
+        # a side can split only on what splits ``sel``
+        cands.sort()
+        split = [e for _, e in cands]
+        ub = sz.bit_length() - 1  # floor(log2 sz): distinct traces bound
         best = 1  # two distinct members always split somewhere
-        for bal, e in cands:
-            cap_e = 1 + (bal.bit_length() - 1)
-            if cap_e <= best:
+        for neg_bal, e in cands:
+            if (-neg_bal).bit_length() <= best:  # 1 + floor(log2 bal) caps e
                 break
-            bit = 1 << e
-            left = frozenset(mk & ~bit for mk in masks if mk & bit)
-            right = frozenset(mk for mk in masks if not mk & bit)
-            first, second = (left, right) if len(left) <= len(right) else (right, left)
-            a = self.value(first, budget)
+            inside = sel & cols[e]
+            outside = sel ^ inside
+            if 2 * inside.bit_count() > sz:
+                inside, outside = outside, inside  # smaller side first
+            a = self._value(inside, split, budget)
             if 1 + a <= best:
                 continue
-            v = 1 + min(a, self.value(second, budget))
+            v = 1 + min(a, self._value(outside, split, budget))
             if v > best:
                 best = v
                 if best == ub:
                     break
-        if len(self._memo) < _MEMO_LIMIT:
-            self._memo[key] = best
+        if self._memo_size < _MEMO_LIMIT:
+            memo[sel] = best
+            self._memo_size += 1
         return best
 
     def witness(
-        self, items: list[tuple[int, int]], depth: int, budget: Budget | None = None
+        self, sel: int, depth: int, kept: Sequence[int], budget: Budget | None = None
     ) -> ShatterTree:
-        """A depth-``depth`` witness tree for ``items`` of (mask, original index)."""
+        """A depth-``depth`` witness tree for the members selected by ``sel``:
+        the least element whose two sides both reach ``depth - 1`` at each
+        node, and leaf ``kept[i]`` for the least member i selected."""
         if depth == 0:
-            return ShatterTree.leaf(min(i for _, i in items))
-        union = 0
-        for mk, _ in items:
-            union |= mk
-        sz = len(items)
-        for e in member_of(union):
-            bit = 1 << e
-            c = sum(1 for mk, _ in items if mk & bit)
-            if not 0 < c < sz:
-                continue
-            left = [(mk & ~bit, i) for mk, i in items if mk & bit]
-            right = [(mk, i) for mk, i in items if not mk & bit]
-            if (
-                self.value(frozenset(mk for mk, _ in left), budget) >= depth - 1
-                and self.value(frozenset(mk for mk, _ in right), budget) >= depth - 1
-            ):
+            return ShatterTree.leaf(kept[(sel & -sel).bit_length() - 1])
+        for e, col in enumerate(self._cols):
+            inside = sel & col
+            outside = sel ^ inside
+            splits = inside and outside and self.value(inside, budget) >= depth - 1
+            if splits and self.value(outside, budget) >= depth - 1:
                 return ShatterTree.node(
                     e,
-                    self.witness(left, depth - 1, budget),
-                    self.witness(right, depth - 1, budget),
+                    self.witness(inside, depth - 1, kept, budget),
+                    self.witness(outside, depth - 1, kept, budget),
                 )
         raise AssertionError("witness reconstruction failed")  # pragma: no cover
 
 
-def ls_dimension(
-    family: SetFamily,
-    budget: int | None = None,
-    solver: LittlestoneSolver | None = None,
-) -> tuple[int, Optional[ShatterTree]]:
+def ls_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, Optional[ShatterTree]]:
     """Exact Littlestone dimension with a witness tree.
 
-    Duplicates are collapsed first (they never change the dimension).  Pass a
-    shared :class:`LittlestoneSolver` to reuse its memo across calls.
+    Duplicates are collapsed first (they never change the dimension).  The
+    tree takes the least splitting element at each node and the least
+    member index at each leaf, as :func:`ls_dimension_tree` does.
     """
     distinct, kept = family.distinct()
-    masks = distinct.masks
-    if solver is None:
-        solver = LittlestoneSolver()
-    b = Budget(budget) if budget is not None else None
-    d = solver.value(frozenset(masks), b)
-    if not masks:
+    if not distinct.m:
         return 0, None
-    tree = solver.witness(list(zip(masks, kept)), d, b)
-    return d, tree
+    solver = LittlestoneSolver(distinct.masks)
+    b = Budget(budget) if budget is not None else None
+    full = (1 << distinct.m) - 1
+    d = solver.value(full, b)
+    return d, solver.witness(full, d, kept, b)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +333,3 @@ def ls_dimension_tree(
 
     return True, build(full, d)
 
-
-def dimension_report(family: SetFamily, budget: int | None = None) -> DimensionReport:
-    """VC and Littlestone dimensions with witnesses, in one report."""
-    vc, vc_w = vc_dimension(family, budget)
-    ls, ls_w = ls_dimension(family, budget)
-    return DimensionReport(vc=vc, vc_witness=vc_w, ls=ls, ls_witness=ls_w)

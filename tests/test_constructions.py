@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunflower_lab import (
@@ -17,8 +17,8 @@ from sunflower_lab import (
     vc_dimension,
 )
 from sunflower_lab.constructions import _shatters_new_set, _sunflower_through
-from sunflower_lab.dimensions import _vc_from_masks
-from sunflower_lab.family import _sunflower_core_search, columns_of, mask_of
+from sunflower_lab.dimensions import LittlestoneSolver, _vc_from_masks
+from sunflower_lab.family import _sunflower_core_search, columns_of, mask_of, member_of
 
 
 class TestTreeFamily:
@@ -344,3 +344,22 @@ class TestIncrementalChecks:
         cols = columns_of(parent, n)
         whole = _vc_from_masks(parent + [cand], n)[0]
         assert _shatters_new_set(cols, len(parent), cand, d, n) == (whole > d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 15)), max_size=24))
+    @example([(0, 0), (0, 2), (0, 3), (0, 10), (1, 1)])  # member 3 replaced
+    def test_solver_push_pop(self, steps):
+        # one solver through random steps, each popping up to ``pops``
+        # members and pushing ``mask``: after each push, its memo must answer
+        # as a fresh family's search does
+        solver = LittlestoneSolver()
+        masks: list[int] = []
+        for pops, mask in steps:
+            for _ in range(min(pops, len(masks))):
+                solver.pop()
+                masks.pop()
+            if mask not in masks:
+                solver.push(mask)
+                masks.append(mask)
+                fresh = SetFamily(4, tuple(member_of(mk) for mk in masks))
+                assert solver.value((1 << len(masks)) - 1) == ls_dimension(fresh)[0]

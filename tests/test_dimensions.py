@@ -7,7 +7,6 @@ import pytest
 from sunflower_lab import (
     ParameterError,
     SetFamily,
-    dimension_report,
     ls_dimension,
     ls_dimension_tree,
     pad_to_uniform,
@@ -97,12 +96,24 @@ class TestLsDimension:
             assert ls_dimension(doubled)[0] == ls_dimension(fam)[0]
 
     def test_shared_solver_memo_reuse(self):
-        solver = LittlestoneSolver()
-        fam = power_set_family(3)
-        a, _ = ls_dimension(fam, solver=solver)
-        b, _ = ls_dimension(fam, solver=solver)
-        assert a == b == 3
-        assert solver._memo
+        # a second search of the same members is answered from the memo
+        solver = LittlestoneSolver(power_set_family(3).masks)
+        full = (1 << 8) - 1
+        a = solver.value(full)
+        assert any(solver._memo)
+        b = solver.value(full)
+        assert a == b == ls_dimension(power_set_family(3))[0] == 3
+
+    def test_witness_is_the_tree_oracles(self, small_corpus):
+        # the least splitting element at each node, the least member at each
+        # leaf: the same tree the literal tree route builds
+        rng = random.Random(71)
+        multi = [random_family(rng, max_m=12, max_n=6, multifamily=True) for _ in range(150)]
+        trees = [tree_family(3, k) for k in range(3, 7)]
+        cubes = [power_set_family(2), power_set_family(3)]
+        for fam in chain(small_corpus, multi, trees, cubes):
+            value, tree = ls_dimension(fam)
+            assert tree == ls_dimension_tree(fam, value)[1]
 
 
 class TestLsDimensionTree:
@@ -133,11 +144,18 @@ class TestLsDimensionTree:
             assert not beyond
 
     def test_shared_solver_agrees_with_tree_route(self, small_corpus):
-        # one memo across the whole corpus: no entry may answer for another
-        # family
+        # one solver across the whole corpus, emptied by pop and refilled by
+        # push for each family: no entry may answer for another family
         solver = LittlestoneSolver()
+        size = 0
         for fam in small_corpus:
-            value, _ = ls_dimension(fam, solver=solver)
+            for _ in range(size):
+                solver.pop()
+            distinct, _ = fam.distinct()
+            for mk in distinct.masks:
+                solver.push(mk)
+            size = distinct.m
+            value = solver.value((1 << size) - 1)
             assert ls_dimension_tree(fam, value)[0] == bool(fam.m)
             assert not ls_dimension_tree(fam, value + 1)[0]
 
@@ -182,11 +200,3 @@ class TestPaddingInvariance:
             assert vc_dimension(padded)[0] == vc_dimension(fam)[0]
             assert ls_dimension(padded)[0] == ls_dimension(fam)[0]
 
-
-class TestDimensionReport:
-    def test_report_fields(self):
-        fam = power_set_family(2)
-        rep = dimension_report(fam)
-        assert rep.vc == rep.ls == 2
-        assert len(rep.vc_witness) == 2
-        validate_shatter_tree(fam, rep.ls_witness, rep.ls)
