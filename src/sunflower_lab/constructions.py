@@ -183,7 +183,7 @@ def random_lowerbound_family(
             raise ParameterError(
                 "derived parameters need d >= 6, r >= 3, k >= 4d; pass n and m overrides"
             )
-    t = math.ceil(math.log2(d)) if d >= 1 else 0
+    t = (d - 1).bit_length() if d >= 1 else 0
     if n is None:
         exact_n = k * k * r / (500 * d * math.log2(k))
         n = math.floor(exact_n)

@@ -436,8 +436,15 @@ def packing_number(family: SetFamily, budget: int | None = None) -> PackingResul
 
 
 def transversal_number(family: SetFamily, budget: int | None = None) -> TransversalResult:
-    """Exact minimum hitting set (branch and bound on the dual), with the
-    lexicographically least minimum witness.
+    """Exact minimum hitting set, with the lexicographically least minimum
+    witness.
+
+    One depth-first branch and bound visits hitting sets in lexicographic
+    order of their sorted tuples, on an explicit stack of
+    ``(covered members, least next element, chosen elements)`` so its depth is
+    not bounded by Python's recursion limit.  Only a cover smaller than the
+    best so far is kept, so the first cover of the minimum size, which is the
+    lexicographically least one, is the last kept.
 
     Raises :class:`EmptyMemberError` if some member is empty (no transversal
     exists).  The empty family has transversal number 0.
@@ -445,86 +452,54 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
     m = family.m
     if m == 0:
         return TransversalResult(0, ())
-    for i, mem in enumerate(family.members):
-        if not mem:
+    masks = family.masks
+    for i, mask in enumerate(masks):
+        if not mask:
             raise EmptyMemberError(f"member {i} is empty; no transversal exists")
     n = family.ground_size
     cols = family.columns
-    masks = family.masks
     full = (1 << m) - 1
     b = Budget(budget) if budget is not None else None
-
-    def greedy_lb(covered: int, min_elem: int) -> int:
-        # pairwise (allowed-element)-disjoint uncovered members each need
-        # their own hitting element
-        allowed = ~((1 << min_elem) - 1) if min_elem else ~0
-        used = 0
-        lb = 0
-        for i in member_of(full & ~covered):
-            restricted = masks[i] & allowed
-            if restricted == 0:
-                return m + 1  # member cannot be hit at all
-            if restricted & used == 0:
-                lb += 1
-                used |= restricted
-        return lb
-
-    def pick_member(covered: int, min_elem: int) -> int:
-        # uncovered member with fewest allowed elements, ties to lowest index
-        best_i, best_c = -1, n + 1
-        for i in member_of(full & ~covered):
-            c = sum(1 for e in family.members[i] if e >= min_elem)
-            if c < best_c:
-                best_i, best_c = i, c
-        return best_i
-
-    def solve(covered: int, min_elem: int, cap: int) -> bool:
-        """Can the uncovered members be hit with <= cap elements >= min_elem?
-
-        Depth first over the elements of one uncovered member per node, with
-        an explicit stack of (covered, cap, untried elements), so the depth
-        of the search is not bounded by Python's recursion limit."""
-        stack: list[tuple[int, int, Iterator[int]]] = []
-        while True:
-            if covered == full:
-                return True
-            if cap > 0 and greedy_lb(covered, min_elem) <= cap:
-                if b is not None:
-                    b.spend()
-                i = pick_member(covered, min_elem)
-                stack.append((covered, cap, (e for e in family.members[i] if e >= min_elem)))
-            while stack:
-                parent, parent_cap, untried = stack[-1]
-                e = next(untried, None)
-                if e is not None:
-                    covered, cap = parent | cols[e], parent_cap - 1
-                    break
-                stack.pop()
-            else:
-                return False
-
-    tau = 1
-    while not solve(0, 0, tau):
-        tau += 1
-
-    # lexicographically least witness of size tau
-    witness: list[int] = []
-    covered = 0
-    floor = 0
-    remaining = tau
-    while covered != full:
-        for e in range(floor, n):
-            if cols[e] & ~covered == 0:
-                continue  # covers nothing new; cannot be in a minimum witness
-            if solve(covered | cols[e], e + 1, remaining - 1):
-                witness.append(e)
-                covered |= cols[e]
-                floor = e + 1
-                remaining -= 1
-                break
-        else:  # pragma: no cover - solve() guarantees completion
-            raise AssertionError("witness reconstruction failed")
-    return TransversalResult(tau, tuple(witness))
+    witness: tuple[int, ...] = ()
+    best = m + 1
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    while stack:
+        covered, floor, chosen = stack.pop()
+        if covered == full:
+            if len(chosen) < best:
+                witness, best = chosen, len(chosen)
+            continue
+        # one pass over the uncovered members' elements >= floor: pairwise
+        # disjoint ones each need their own element (the node opens only if
+        # that many fit below the best), an element outside all of them covers
+        # nothing new (allowed), and the member with the least top element must
+        # be hit by the next element or never (top)
+        slack = best - len(chosen)
+        used = allowed = 0
+        top = n
+        uncovered = full & ~covered
+        while uncovered:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            rest = masks[low.bit_length() - 1] >> floor
+            if not rest & used:
+                slack -= 1
+                if slack <= 0 or not rest:
+                    break  # cannot beat the best, or this member can no longer be hit
+                used |= rest
+            allowed |= rest
+            if rest.bit_length() < top:
+                top = rest.bit_length()
+        else:
+            if b is not None:
+                b.spend()
+            # children in descending order, so ascending ones pop first
+            allowed = (allowed & ((1 << top) - 1)) << floor
+            while allowed:
+                e = allowed.bit_length() - 1
+                allowed ^= 1 << e
+                stack.append((covered | cols[e], e + 1, chosen + (e,)))
+    return TransversalResult(best, witness)
 
 
 def lambda_number(

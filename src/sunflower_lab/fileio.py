@@ -49,6 +49,17 @@ def _content_lines(text: str, path: str | None) -> Iterator[tuple[int, str]]:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+# the only integer form, for counts, sizes and elements: ASCII digits, so
+# int() cannot also take a sign, underscores or other scripts' digits
+_NATURAL = re.compile(r"[0-9]+")
+
+
+def _nat(token: str) -> int:
+    if not _NATURAL.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _rat(token: str, path: str | None, lineno: int) -> Fraction:
     if _RATIONAL.fullmatch(token):
         try:
@@ -91,7 +102,7 @@ def loads_setfam(text: str, path: str | None = None) -> SetFamily:
     if parts[1] != str(FORMAT_VERSION):
         raise ParseError(f"unsupported version {parts[1]}", path, header_no)
     try:
-        n, m = int(parts[2]), int(parts[3])
+        n, m = _nat(parts[2]), _nat(parts[3])
     except ValueError:
         raise ParseError("header n and m must be integers", path, header_no) from None
     flags = set(parts[4:])
@@ -106,8 +117,8 @@ def loads_setfam(text: str, path: str | None = None) -> SetFamily:
         if not sep:
             raise ParseError("member line must look like '<size>: e1 e2 ...'", path, lineno)
         try:
-            size = int(head.strip())
-            elems = tuple(int(tok) for tok in rest.split())
+            size = _nat(head.strip())
+            elems = tuple(_nat(tok) for tok in rest.split())
         except ValueError:
             raise ParseError("member elements must be integers", path, lineno) from None
         if size != len(elems):
@@ -171,7 +182,7 @@ def loads_scene(text: str, path: str | None = None) -> Union[Scene2, Scene3]:
     if parts[1] != str(FORMAT_VERSION):
         raise ParseError(f"unsupported version {parts[1]}", path, header_no)
     try:
-        npoints = int(parts[2])
+        npoints = _nat(parts[2])
     except ValueError:
         raise ParseError("point count must be an integer", path, header_no) from None
     dim = 2 if parts[0] == SCENE2_MAGIC else 3

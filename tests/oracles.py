@@ -112,6 +112,18 @@ def brute_transversal(family: SetFamily) -> int:
     raise AssertionError("some member has no elements")
 
 
+def brute_least_transversal(family: SetFamily) -> tuple[int, ...]:
+    """The first hitting element tuple in ``combinations`` order among the
+    smallest ones: the lexicographically least minimum transversal."""
+    members = [frozenset(mem) for mem in family.members]
+    assert all(members), "undefined for empty members"
+    for size in range(family.ground_size + 1):
+        for combo in combinations(range(family.ground_size), size):
+            if all(m.intersection(combo) for m in members):
+                return combo
+    raise AssertionError("some member has no elements")
+
+
 def brute_lambda(family: SetFamily) -> int:
     members = [frozenset(mem) for mem in family.members]
     best = 0

@@ -38,7 +38,7 @@ from sunflower_lab import (
 )
 from sunflower_lab.cli import main as cli_main
 
-from oracles import brute_has_sunflower, brute_vc, random_family
+from oracles import brute_has_sunflower, brute_least_transversal, brute_vc, random_family
 
 _corpus_cache = []
 
@@ -132,6 +132,9 @@ def test_criterion_04_oracle_equivalence():
         vc, witness = vc_dimension(fam)
         assert vc == brute_vc(fam)
         assert len(witness) == vc
+
+        if all(fam.members):
+            assert transversal_number(fam).witness == brute_least_transversal(fam)
 
         ls, tree = ls_dimension(fam)
         ok_at, _ = ls_dimension_tree(fam, ls)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,13 @@ class TestRandomLowerboundFamily:
         assert fam.is_uniform() == 5
         assert fam.m == rep.m_distinct <= 20
         assert not rep.used_recipe
+
+    def test_t_is_exact_ceil_log2(self):
+        # float log2 rounds 2^53 + 1 down to 2^53 and so reports one less
+        for d, t in ((2**53 + 1, 54), (2**60 + 1, 61)):
+            assert random_lowerbound_family(d, 3, 2, n=4, m=1)[1].t == t
+        for d in range(1, 4097):
+            assert random_lowerbound_family(d, 3, 2, n=4, m=1)[1].t == math.ceil(math.log2(d))
 
     def test_derived_parameters_reported_infeasible(self):
         # d=6, r=3, k=24 meets the recipe preconditions, but the derived n

@@ -41,6 +41,7 @@ from oracles import (
     brute_has_sunflower,
     brute_lambda,
     brute_least_sunflower,
+    brute_least_transversal,
     brute_packing,
     brute_transversal,
     random_family,
@@ -275,12 +276,16 @@ class TestTransversal:
         assert transversal_number(SetFamily(0, ())).value == 0
 
     def test_matches_brute_force(self, small_corpus):
-        for fam in small_corpus:
-            if fam.m and all(fam.members):
+        rng = random.Random(47)
+        seeded = [
+            random_family(rng, max_m=12, max_n=9, multifamily=i % 3 == 0, allow_empty_members=False)
+            for i in range(300)
+        ]
+        for fam in small_corpus + seeded:
+            if all(fam.members):
                 res = transversal_number(fam)
                 assert res.value == brute_transversal(fam)
-                hit = set(res.witness)
-                assert all(hit & set(mem) for mem in fam.members)
+                assert res.witness == brute_least_transversal(fam)
 
     def test_witness_is_lexicographically_least(self):
         # two minimum covers exist; the smaller sorted tuple must win
@@ -302,6 +307,17 @@ class TestTransversal:
         finally:
             sys.setrecursionlimit(limit)
         assert res == TransversalResult(120, tuple(range(120)))
+
+    def test_budget_aborts_pinned(self):
+        # the search on the edges of the 17-cycle opens 37 nodes in a fixed
+        # order: a smaller budget aborts at its (budget + 1)-th node
+        fam = SetFamily.from_sets(17, [(i, (i + 1) % 17) for i in range(17)])
+        for budget in (1, 10, 36):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                transversal_number(fam, budget=budget)
+        for budget in (37, 1000):
+            res = transversal_number(fam, budget=budget)
+            assert res == TransversalResult(9, (0, 1, 3, 5, 7, 9, 11, 13, 15))
 
 
 class TestLambda:

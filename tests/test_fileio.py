@@ -50,6 +50,20 @@ class TestSetfamFormat:
         with pytest.raises(ParseError):
             loads_setfam("setfam 1 3 2\n1: 0\n")  # missing member line
 
+    @pytest.mark.parametrize("token, value", [("1_0", 10), ("+7", 7), ("\u0667", 7)])
+    def test_only_ascii_digit_integers(self, token, value):
+        # int() would take each token as value; every count, size and element
+        # here is otherwise consistent with it
+        texts = [
+            f"setfam 1 {token} 1\n1: 0\n",
+            f"setfam 1 1 {token} multi\n" + "1: 0\n" * value,
+            f"setfam 1 {value} 1\n{token}: " + " ".join(map(str, range(value))) + "\n",
+            f"setfam 1 {value + 1} 1\n1: {token}\n",
+        ]
+        for text in texts:
+            with pytest.raises(ParseError):
+                loads_setfam(text)
+
     def test_invalid_family_reported_as_parse_error(self):
         with pytest.raises(ParseError):
             loads_setfam("setfam 1 2 1\n1: 5\n")  # element out of range
@@ -92,6 +106,11 @@ class TestSceneFormat:
         # Fraction() would take these; the format has only int and num/den
         with pytest.raises(ParseError):
             loads_scene(f"scene2 1 1\np {token} 2\n")
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10), ("+7", 7), ("\u0667", 7)])
+    def test_point_count_is_ascii_digits(self, token, value):
+        with pytest.raises(ParseError):
+            loads_scene(f"scene2 1 {token}\n" + "".join(f"p {i} 0\n" for i in range(value)))
 
     def test_wrong_counts_rejected(self):
         with pytest.raises(ParseError):
