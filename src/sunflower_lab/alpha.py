@@ -25,6 +25,7 @@ from .family import (
     LambdaResult,
     PackingResult,
     SetFamily,
+    Sunflower,
     TransversalResult,
     _common_core,
     count_sunflower_tuples,
@@ -395,6 +396,7 @@ class FamilyAnalysis:
         self.family = family
         self.lambda_cap = lambda_cap
         self.budget = budget
+        self._flowers: dict[int, Optional[Sunflower]] = {}
 
     @cached_property
     def vc(self) -> tuple[int, tuple[int, ...]]:
@@ -415,6 +417,16 @@ class FamilyAnalysis:
     @cached_property
     def lam(self) -> LambdaResult:
         return lambda_number(self.family, cap=self.lambda_cap, budget=self.budget)
+
+    def sunflower(self, r: int) -> Optional[Sunflower]:
+        """The r-sunflower :func:`find_sunflower` finds.  Any r members of an
+        (r+1)-sunflower form an r-sunflower, so a smaller sunflower-free r
+        answers r without a search (which could not abort: it opens a subset of
+        the nodes of the smaller r's search, which ran to the end)."""
+        if r not in self._flowers:
+            free = any(s < r and hit is None for s, hit in self._flowers.items())
+            self._flowers[r] = None if free else find_sunflower(self.family, r, budget=self.budget)
+        return self._flowers[r]
 
     def checks(
         self,
@@ -484,7 +496,7 @@ class FamilyAnalysis:
         # nonempty members
         if has_empty_member:
             checks.append(CheckResult("popular_element", "skip", "empty member present"))
-        elif find_sunflower(family, r + 1, budget=self.budget) is not None:
+        elif self.sunflower(r + 1) is not None:
             checks.append(
                 CheckResult(
                     "popular_element", "skip", f"family contains an {r + 1}-sunflower"
@@ -508,7 +520,7 @@ class FamilyAnalysis:
                 )
             elif uniform_k is None:
                 checks.append(CheckResult("size<=f-1", "skip", "needs a uniform family"))
-            elif find_sunflower(family, max(r, 3), budget=self.budget) is not None:
+            elif self.sunflower(max(r, 3)) is not None:
                 checks.append(
                     CheckResult("size<=f-1", "skip", "family is not sunflower-free")
                 )

@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
     SunflowerLabError,
 )
-from .family import SetFamily, find_sunflower
+from .family import SetFamily
 from .fileio import (
     Scene2,
     read_scene,
@@ -155,10 +155,7 @@ def _analyze_file(path_str: str, r: int, lambda_cap: int, node_budget: Optional[
         "cap": lam.cap,
         "cap_hit": lam.cap_hit,
     }
-    if family.m >= 2:
-        flower = find_sunflower(family, r, budget=node_budget)
-    else:
-        flower = None
+    flower = analysis.sunflower(r)
     if flower is None:
         result["sunflower"] = {"found": False}
     else:

@@ -42,7 +42,7 @@ _DESK_MEMBER_LIMIT = 1_000_000
 # explicit constructions
 
 
-def tree_family(r: int, k: int, max_members: int = _DESK_MEMBER_LIMIT) -> SetFamily:
+def tree_family(r: int, k: int) -> SetFamily:
     """Root-to-leaf path sets of the complete (r-1)-ary tree with k levels.
 
     The family is k-uniform with (r-1)^(k-1) members, has VC dimension at
@@ -54,8 +54,8 @@ def tree_family(r: int, k: int, max_members: int = _DESK_MEMBER_LIMIT) -> SetFam
         raise ParameterError("tree_family requires k >= 1")
     branch = r - 1
     size = branch ** (k - 1)
-    if size > max_members:
-        raise ParameterError(f"tree_family would have {size} members (limit {max_members})")
+    if size > _DESK_MEMBER_LIMIT:
+        raise ParameterError(f"tree_family would have {size} members (limit {_DESK_MEMBER_LIMIT})")
     # vertices numbered level by level
     offsets = [0]
     for level in range(1, k):
@@ -166,7 +166,6 @@ def random_lowerbound_family(
     n: Optional[int] = None,
     m: Optional[int] = None,
     seed: int = 0,
-    max_members: int = _DESK_MEMBER_LIMIT,
 ) -> tuple[SetFamily, RandomFamilyReport]:
     """``m`` uniform random k-subsets of [n], duplicates collapsed.
 
@@ -199,8 +198,8 @@ def random_lowerbound_family(
             f"derived n={n}, m={m} infeasible (need n >= k and m >= 1); "
             "pass n and m overrides for desk scale"
         )
-    if m > max_members:
-        raise ParameterError(f"m={m} exceeds the desk-scale limit {max_members}")
+    if m > _DESK_MEMBER_LIMIT:
+        raise ParameterError(f"m={m} exceeds the desk-scale limit {_DESK_MEMBER_LIMIT}")
 
     rng = seeded_rng("randomlb", seed)
     drawn: list[Member] = []
@@ -289,8 +288,7 @@ def extremal_search(
 
     allow_duplicates = kind == "multifamily"
     solver = LittlestoneSolver()
-    budget = Budget(node_budget) if node_budget is not None else None
-    nodes = 0
+    budget = Budget(node_budget)
     aborted = False
     best: list[Member] = []
     best_ground = 0
@@ -313,10 +311,8 @@ def extremal_search(
         return True
 
     def extend(members: list[Member], masks: list[int], used: int) -> None:
-        nonlocal nodes, best, best_ground, max_ground_used
-        nodes += 1
-        if budget is not None:
-            budget.spend()
+        nonlocal best, best_ground, max_ground_used
+        budget.spend()
         if len(members) > len(best):
             best = members.copy()
             best_ground = used
@@ -356,7 +352,7 @@ def extremal_search(
         exact_value=len(best) + 1,
         witness=witness,
         exact=not aborted,
-        nodes=nodes,
+        nodes=budget.used,
         ground_cap=ground_cap,
         max_ground_used=max_ground_used,
         notes=tuple(notes),

@@ -239,16 +239,15 @@ def canonicalize(family: SetFamily) -> SetFamily:
 # sunflowers
 
 
-def is_sunflower(sets: Sequence[Iterable[int]], r_min: int = 2) -> Optional[Member]:
+def is_sunflower(sets: Sequence[Iterable[int]]) -> Optional[Member]:
     """The common pairwise intersection of ``sets`` if all pairs agree, else ``None``.
 
-    Needs at least ``max(2, r_min)`` sets; repeated sets are fine (a repeated
-    set forces the core to equal that set).
+    Needs at least two sets; repeated sets are fine (a repeated set forces the
+    core to equal that set).
     """
-    need = max(2, r_min)
     masks = [mask_of(s) for s in sets]
-    if len(masks) < need:
-        raise ParameterError(f"need at least {need} sets, got {len(masks)}")
+    if len(masks) < 2:
+        raise ParameterError(f"need at least 2 sets, got {len(masks)}")
     core = _common_core(masks)
     return None if core is None else member_of(core)
 

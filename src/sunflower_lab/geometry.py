@@ -16,6 +16,7 @@ from .family import SetFamily
 from .rng import seeded_rng
 
 _GRID_DENOM = 2**16  # rational grid for sampled centers
+_MAX_ATTEMPTS_PER_DISK = 1000  # centers sampled per disk before giving up
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,13 @@ def gen_k_capturing_disks(
     k: int,
     count: int,
     seed: int = 0,
-    max_attempts_per_disk: int = 1000,
 ) -> tuple[tuple[Disk, ...], SetFamily]:
     """``count`` disks, each containing exactly ``k`` points, plus their trace.
 
     Centers are sampled on a rational grid (denominator 2^16) inside the
     bounding box of the points; centers whose k-th and (k+1)-th distances tie
-    are resampled.  Deterministic given the seed.
+    are resampled, so each radius lies strictly between them and the trace
+    holds the k nearest points.  Deterministic given the seed.
     """
     if len(points) <= k:
         raise ParameterError("need more points than k")
@@ -142,10 +143,9 @@ def gen_k_capturing_disks(
     ymin, ymax = min(ys), max(ys)
     rng = seeded_rng("k-capturing", seed)
     disks: list[Disk] = []
-    members = []
     for _ in range(count):
         disk = None
-        for _attempt in range(max_attempts_per_disk):
+        for _attempt in range(_MAX_ATTEMPTS_PER_DISK):
             gx = Fraction(rng.randrange(_GRID_DENOM + 1), _GRID_DENOM)
             gy = Fraction(rng.randrange(_GRID_DENOM + 1), _GRID_DENOM)
             center = Point2(xmin + (xmax - xmin) * gx, ymin + (ymax - ymin) * gy)
@@ -154,14 +154,8 @@ def gen_k_capturing_disks(
                 break
         if disk is None:
             raise BudgetExceededError(
-                f"resampling budget exhausted after {max_attempts_per_disk} attempts; "
+                f"resampling budget exhausted after {_MAX_ATTEMPTS_PER_DISK} attempts; "
                 "the point set is too degenerate for k-capturing disks"
             )
         disks.append(disk)
-        ranked = sorted(
-            range(len(points)),
-            key=lambda i: (squared_distance(points[i], disk.center), i),
-        )
-        members.append(tuple(sorted(ranked[:k])))
-    family = SetFamily(len(points), tuple(members), multifamily=True)
-    return tuple(disks), family
+    return tuple(disks), trace_disks(points, disks)

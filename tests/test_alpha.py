@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sunflower_lab import (
+    BudgetExceededError,
     EmptyFamilyError,
     ParameterError,
     SetFamily,
@@ -25,7 +26,7 @@ from sunflower_lab import (
     vc_dimension,
     write_setfam,
 )
-from sunflower_lab.alpha import BOUND_BIT_CAP, INV_E_HI, INV_E_LO
+from sunflower_lab.alpha import BOUND_BIT_CAP, INV_E_HI, INV_E_LO, FamilyAnalysis
 from sunflower_lab.cli import _analyze_file
 
 from oracles import random_family
@@ -248,6 +249,29 @@ class TestEvaluateBound:
     def test_missing_params(self):
         with pytest.raises(ParameterError):
             evaluate_bound("ER", r=3)
+
+
+class TestFamilyAnalysisSunflower:
+    @staticmethod
+    def _outcome(search):
+        try:
+            return search()
+        except BudgetExceededError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("order", ((3, 4, 5), (5, 4, 3)))
+    def test_matches_find_sunflower(self, small_corpus, order):
+        # a sunflower-free r answers every larger r without a search; the
+        # answer, and any budget abort, must be the standalone search's
+        rng = random.Random(8)
+        multi = [random_family(rng, max_m=10, max_n=7, multifamily=True) for _ in range(150)]
+        for fam in small_corpus + multi:
+            for budget in (None, 1, 3, 10, 30):
+                analysis = FamilyAnalysis(fam, budget=budget)
+                for s in order:
+                    got = self._outcome(lambda: analysis.sunflower(s))
+                    want = self._outcome(lambda: find_sunflower(fam, s, budget=budget))
+                    assert got == want, (fam, s, budget)
 
 
 class TestCheckInequalities:

@@ -150,9 +150,16 @@ class TestAnalyze:
     ):
         for name in ("a.setfam", "b.setfam"):
             write_setfam(tree_family(3, 2), tmp_path / name)
+        # a one-member family is refused too: no file skips the parameter check
+        one = tmp_path / "one.setfam"
+        write_setfam(SetFamily.from_sets(2, [[0]]), one)
         code, out, err = run_cli(
             capsys, "analyze", str(tmp_path), "--json", "--workers", workers, *bad_param
         )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.count("invalid input: ") == 1
+        code, out, err = run_cli(capsys, "analyze", str(one), *bad_param)
         assert code == EXIT_PARSE
         assert out == ""
         assert err.count("invalid input: ") == 1
@@ -177,10 +184,9 @@ class TestAnalyze:
         # search is counted too
         calls = {}
         names = ("vc_dimension", "ls_dimension", "packing_number",
-                 "transversal_number", "lambda_number")
+                 "transversal_number", "lambda_number", "find_sunflower")
         for name in names:
             original = getattr(sunflower_lab, name)
-            calls[name] = 0
 
             def counted(*args, _name=name, _fn=original, **kwargs):
                 calls[_name] += 1
@@ -189,10 +195,17 @@ class TestAnalyze:
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("sunflower_lab") and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
-        f = tmp_path / "tree.setfam"
-        write_setfam(tree_family(3, 4), f)
-        _analyze_file(str(f), 3, 8, None)
-        assert calls == dict.fromkeys(names, 1)
+        f = tmp_path / "fam.setfam"
+        for family, sunflower_calls in (
+            # sunflower-free at r = 3, so r + 1 = 4 needs no search
+            (tree_family(3, 4), 1),
+            # a 3-sunflower, so the popular-element check searches r + 1 = 4
+            (SetFamily.from_sets(6, [[0, 1], [2, 3], [4, 5]]), 2),
+        ):
+            calls.update(dict.fromkeys(names, 0))
+            write_setfam(family, f)
+            _analyze_file(str(f), 3, 8, None)
+            assert calls == {**dict.fromkeys(names, 1), "find_sunflower": sunflower_calls}
 
 
 class TestAlphaCommand:
