@@ -216,7 +216,7 @@ def _analyze_worker(args: tuple) -> dict:
     try:
         return _analyze_file(*args)
     except ParameterError:
-        raise  # a bad --r or --lambda-cap fails every file alike: it ends the batch
+        raise  # a bad --lambda-cap fails every file alike: it ends the batch
     except _REPORTED_ERRORS as exc:
         message, code = _error_exit(exc)
         return {"file": Path(args[0]).name, "error": message, "exit": code}
@@ -230,6 +230,8 @@ def _result_exit(res: dict) -> int:
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
+    if ns.r < 3:
+        raise ParameterError(f"--r must be >= 3 (r = 2 is always satisfiable), got {ns.r}")
     target = Path(ns.file)
     batch = target.is_dir()
     if not batch:
@@ -328,6 +330,8 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def cmd_alpha(ns: argparse.Namespace) -> int:
+    if ns.r < 2:
+        raise ParameterError(f"--r must be >= 2, got {ns.r}")
     family = _load_family(Path(ns.file))
     if ns.exact:
         value = alpha_exact(family, ns.r, budget=ns.node_budget)

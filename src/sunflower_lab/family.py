@@ -12,11 +12,12 @@ least ones, candidate orders are fixed, and no randomness is involved.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     EmptyFamilyError,
@@ -275,49 +276,43 @@ def _disjoint_subset(
 ) -> Optional[tuple[int, ...]]:
     """Positions of pairwise disjoint ``masks``: the lexicographically first
     ``size`` of them (``None`` if there are none), or, without ``size``, the
-    least largest such subset.  Depth first, "include" first; a position is
-    tried while enough remain to reach ``size``, or one more than the best so
-    far.  The open ancestors of the current node keep their untried
-    positions and the union of the masks chosen above them on an explicit
-    stack, so the depth of the subset is not bounded by Python's recursion
-    limit."""
+    least largest such subset.  Depth first on an explicit stack of nodes
+    ``(chosen, cand)``, ``cand`` the bitset of the untried later positions
+    whose masks miss every chosen mask, lowest position first; a node opens
+    (one ``budget.spend()``) only while its candidates can reach ``size``, or
+    one more than the best so far."""
     total = len(masks)
-    chosen: list[int] = []
-    best: list[int] = []
-    stack: list[tuple[Iterator[int], int]] = []
-    pos, used = 0, 0
-    while True:
-        # a new node: ``chosen`` ends before ``pos`` and covers ``used``
-        if len(chosen) > len(best):
-            best = chosen.copy()
-            if len(best) == size:
-                return tuple(best)
-        goal = len(best) + 1 if size is None else size
-        if len(chosen) + (total - pos) >= goal:
+    goal = 1 if size is None else size
+    best: tuple[int, ...] = ()
+    apart: dict[int, int] = {}  # t: the positions above t whose masks miss masks[t]
+    stack = [((), (1 << total) - 1)]
+    if budget is not None and total >= goal:
+        budget.spend()
+    while stack:
+        chosen, cand = stack[-1]
+        if len(chosen) + cand.bit_count() < goal:
+            stack.pop()
+            continue
+        t = (cand & -cand).bit_length() - 1
+        cand ^= 1 << t
+        stack[-1] = (chosen, cand)
+        child = chosen + (t,)
+        if len(child) == goal:
+            if size is not None:
+                return child
+            best, goal = child, goal + 1
+        if t not in apart:
+            mt, bits = masks[t], 0
+            for j in range(t + 1, total):
+                if not masks[j] & mt:
+                    bits |= 1 << j
+            apart[t] = bits
+        cand &= apart[t]
+        if len(child) + cand.bit_count() >= goal:
             if budget is not None:
                 budget.spend()
-            untried = iter(range(pos, total))
-        else:
-            untried = iter(())
-        # the next disjoint position of this node, or else of its ancestors
-        while True:
-            depth = len(chosen)
-            # from a position past ``last``, too few remain to reach the goal
-            last = total + depth - (len(best) + 1 if size is None else size)
-            for t in untried:
-                if t > last:
-                    break
-                if masks[t] & used == 0:
-                    stack.append((untried, used))
-                    chosen.append(t)
-                    pos, used = t + 1, used | masks[t]
-                    break
-            if len(chosen) > depth:
-                break
-            if not stack:
-                return tuple(best) if size is None else None
-            untried, used = stack.pop()
-            chosen.pop()
+            stack.append((child, cand))
+    return best if size is None else None
 
 
 def _sunflower_core_search(
@@ -363,8 +358,7 @@ def find_sunflower(
         _, indices = family.distinct()
     else:
         indices = tuple(range(family.m))
-    b = Budget(budget) if budget is not None else None
-    hit = _sunflower_core_search(family.masks, indices, r, b)
+    hit = _sunflower_core_search(family.masks, indices, r, Budget(budget))
     return None if hit is None else Sunflower(member_of(hit[0]), hit[1])
 
 
@@ -377,13 +371,14 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
     the core itself is a member value) together with distinct values whose
     petals over the core are nonempty and pairwise disjoint.  The disjoint
     petal subsets are enumerated once per candidate core with their
-    multiplicity weights.
+    multiplicity weights, on an explicit stack, so ``r`` is not bounded by
+    Python's recursion limit.
     """
     if family.m == 0:
         raise EmptyFamilyError("count_sunflower_tuples needs a nonempty family")
     if r < 2:
         raise ParameterError("count_sunflower_tuples requires r >= 2")
-    b = Budget(budget) if budget is not None else None
+    b = Budget(budget)
 
     counts: dict[int, int] = {}
     for mask in family.masks:
@@ -394,25 +389,27 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
 
     fact = [math.factorial(s) for s in range(r + 1)]
     for core in _candidate_cores(values):
-        if b is not None:
-            b.spend()
+        b.spend()
         petals = [(v & ~core, counts[v]) for v in values if v & core == core and v != core]
         if not petals:
             continue
-        # weighted number of s-subsets of pairwise disjoint petals, s = 1..r
+        # weighted number of s-subsets of pairwise disjoint petals, s = 1..r,
+        # walked depth first; the open node of depth d holds stack[d] =
+        # (next position to try, union of its petals, product of their weights)
         e = [0] * (r + 1)
-
-        def dfs(pos: int, depth: int, used: int, prod: int) -> None:
-            if b is not None:
+        b.spend()
+        stack = [(0, 0, 1)]
+        while stack:
+            pos, used, prod = stack.pop()
+            t = next((t for t in range(pos, len(petals)) if not petals[t][0] & used), None)
+            if t is None:
+                continue
+            petal, w = petals[t]
+            stack.append((t + 1, used, prod))
+            e[len(stack)] += prod * w
+            if len(stack) < r:
                 b.spend()
-            for t in range(pos, len(petals)):
-                petal, w = petals[t]
-                if petal & used == 0:
-                    e[depth + 1] += prod * w
-                    if depth + 1 < r:
-                        dfs(t + 1, depth + 1, used | petal, prod * w)
-
-        dfs(0, 0, 0, 1)
+                stack.append((t + 1, used | petal, prod * w))
         total += fact[r] * e[r]
         n_core = counts.get(core)
         if n_core is not None:
@@ -617,9 +614,7 @@ def popular_element(family: SetFamily) -> tuple[int, Fraction]:
     for i, mem in enumerate(family.members):
         if not mem:
             raise EmptyMemberError(f"member {i} is empty")
-    profile = element_frequencies(family)
-    best_e, best_f = 0, Fraction(-1)
-    for e, f in enumerate(profile.fractions):
-        if f > best_f:
-            best_e, best_f = e, f
-    return best_e, best_f
+    # only the elements some member holds can win, so the ground size costs nothing
+    counts = Counter(e for mem in family.members for e in mem)
+    best_e = min(counts, key=lambda e: (-counts[e], e))
+    return best_e, Fraction(counts[best_e], family.m)

@@ -163,6 +163,8 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.count("invalid input: ") == 1
+        if bad_param[0] == "--r":
+            assert err == "invalid input: --r must be >= 3 (r = 2 is always satisfiable), got 2\n"
 
     def test_analyze_one_file_directory_keeps_batch_shape(self, capsys, tmp_path):
         good, bad = tmp_path / "good", tmp_path / "bad"
@@ -223,6 +225,14 @@ class TestAlphaCommand:
         code, stdout, _ = run_cli(capsys, "alpha", str(f), "--r", "3", "--exact")
         assert code == EXIT_OK
         assert "alpha exact = 1" in stdout
+
+    @pytest.mark.parametrize("mode", (("--exact",), ("--trials", "10")))
+    def test_bad_r_named_before_the_file_is_read(self, capsys, tmp_path, mode):
+        missing = tmp_path / "missing.setfam"
+        code, out, err = run_cli(capsys, "alpha", str(missing), "--r", "1", *mode)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "invalid input: --r must be >= 2, got 1\n"
 
     def test_trials_deterministic(self, capsys, tmp_path):
         f = tmp_path / "disj.setfam"

@@ -32,7 +32,7 @@ from sunflower_lab import (
     tree_family,
     vc_dimension,
 )
-from sunflower_lab.family import _pair_witness_extensions
+from sunflower_lab.family import _disjoint_subset, _pair_witness_extensions
 
 from oracles import (
     brute_count_tuples,
@@ -179,6 +179,16 @@ class TestFindSunflower:
             got = find_sunflower(fam, 3, distinct_only=True)
             assert (got is not None) == brute_has_sunflower(fam, 3, distinct_only=True)
 
+    def test_budget_aborts_pinned(self):
+        # the search on tree_family(3, 5), which has no 3-sunflower, opens 31
+        # nodes in a fixed order: a smaller budget aborts at its (budget + 1)-th node
+        fam = tree_family(3, 5)
+        for budget in (1, 10, 30):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                find_sunflower(fam, 3, budget=budget)
+        for budget in (31, 1000):
+            assert find_sunflower(fam, 3, budget=budget) is None
+
 
 class TestCountTuples:
     def test_three_disjoint_sets(self):
@@ -214,6 +224,20 @@ class TestCountTuples:
             if fam.m >= 2 and k and not brute_has_sunflower(fam, 3):
                 assert count_sunflower_tuples(fam, 3) == fam.m
                 found += 1
+
+    def test_deep_tuples_need_no_deep_recursion(self):
+        # the petal subsets of 1,100 disjoint singletons nest 1,100 deep; with
+        # the recursion limit only 50 frames above the current depth, a walk
+        # that recursed once per chosen petal would raise RecursionError
+        fam = SetFamily(1100, tuple((e,) for e in range(1100)))
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            with pytest.raises(BudgetExceededError, match=r"\(5001 > 5000 nodes\)"):
+                count_sunflower_tuples(fam, 2000, budget=5000)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestPacking:
@@ -256,6 +280,39 @@ class TestPacking:
         finally:
             sys.setrecursionlimit(limit)
         assert res == PackingResult(1100, tuple(range(1100)))
+
+    def test_budget_aborts_pinned(self):
+        # the search on the edges of the 17-cycle opens 192 nodes in a fixed
+        # order: a smaller budget aborts at its (budget + 1)-th node
+        fam = SetFamily.from_sets(17, [(i, (i + 1) % 17) for i in range(17)])
+        for budget in (1, 10, 191):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                packing_number(fam, budget=budget)
+        for budget in (192, 1000):
+            res = packing_number(fam, budget=budget)
+            assert res == PackingResult(8, (0, 2, 4, 6, 8, 10, 12, 14))
+
+
+class TestDisjointSubset:
+    def test_matches_combinations_order(self):
+        # the first pairwise disjoint positions in ``combinations`` order, on
+        # lists with empty and repeated masks
+        rng = random.Random(909)
+
+        def first(masks, size):
+            for pick in combinations(range(len(masks)), size):
+                if all(masks[a] & masks[b] == 0 for a, b in combinations(pick, 2)):
+                    return pick
+            return None
+
+        for _ in range(400):
+            pool = [rng.getrandbits(5) for _ in range(rng.randint(1, 6))] + [0]
+            masks = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+            for size in (1, 2, 3, 4):
+                assert _disjoint_subset(masks, None, size) == first(masks, size)
+            hits = (first(masks, size) for size in range(len(masks), -1, -1))
+            largest = next(hit for hit in hits if hit is not None)
+            assert _disjoint_subset(masks, None) == largest
 
 
 class TestTransversal:
@@ -432,6 +489,16 @@ class TestFrequencies:
                 prof = element_frequencies(fam)
                 total = sum(prof.fractions) * fam.m
                 assert total == sum(len(mem) for mem in fam.members)
+
+    def test_popular_is_the_frequency_argmax(self, small_corpus):
+        for fam in small_corpus:
+            if fam.m and all(fam.members):
+                fractions = element_frequencies(fam).fractions
+                best = max(fractions)
+                assert popular_element(fam) == (fractions.index(best), best)
+
+    def test_popular_ignores_ground_size(self):
+        assert popular_element(SetFamily(3_000_000, ((0, 1), (1, 2)))) == (1, Fraction(1))
 
     def test_popular_rejects_empty_member(self):
         with pytest.raises(EmptyMemberError):
