@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Optional
 
 from .dimensions import ShatterTree, ls_dimension, sauer_shelah_capacity, vc_dimension
@@ -62,11 +63,13 @@ class AlphaEstimate:
 
 def alpha_exact(family: SetFamily, r: int, budget: int | None = None) -> Fraction:
     """Exact probability that r uniform with-replacement draws have pairwise
-    equal intersections: the sunflower tuple count over m^r."""
+    equal intersections: the sunflower tuple count over m^r.  An m^r past
+    :data:`BOUND_BIT_CAP` bits is refused before anything is counted."""
     if family.m == 0:
         raise EmptyFamilyError("alpha_exact needs a nonempty family")
-    count = count_sunflower_tuples(family, r, budget=budget)
-    return Fraction(count, family.m**r)
+    draws = _pow(family.m, r)
+    _capped(draws.bit_length())  # _pow refuses by a lower estimate only
+    return Fraction(count_sunflower_tuples(family, r, budget=budget), draws)
 
 
 def alpha_monte_carlo(
@@ -447,7 +450,7 @@ class FamilyAnalysis:
 
         distinct, _ = family.distinct()
         md = distinct.m
-        n_active = sum(1 for col in family.columns if col)
+        n_active = reduce(or_, family.masks, 0).bit_count()
 
         vc, _ = self.vc
         ls, _ = self.ls

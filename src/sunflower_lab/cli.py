@@ -215,8 +215,6 @@ def _analyze_worker(args: tuple) -> dict:
     """One file of a directory batch; its error becomes its entry."""
     try:
         return _analyze_file(*args)
-    except ParameterError:
-        raise  # a bad --lambda-cap fails every file alike: it ends the batch
     except _REPORTED_ERRORS as exc:
         message, code = _error_exit(exc)
         return {"file": Path(args[0]).name, "error": message, "exit": code}
@@ -229,9 +227,17 @@ def _result_exit(res: dict) -> int:
     return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
+def _check_node_budget(ns: argparse.Namespace) -> None:
+    if ns.node_budget is not None and ns.node_budget < 0:
+        raise ParameterError(f"--node-budget must be >= 0, got {ns.node_budget}")
+
+
 def cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.r < 3:
         raise ParameterError(f"--r must be >= 3 (r = 2 is always satisfiable), got {ns.r}")
+    if ns.lambda_cap < 1:
+        raise ParameterError(f"--lambda-cap must be >= 1, got {ns.lambda_cap}")
+    _check_node_budget(ns)
     target = Path(ns.file)
     batch = target.is_dir()
     if not batch:
@@ -332,33 +338,22 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 def cmd_alpha(ns: argparse.Namespace) -> int:
     if ns.r < 2:
         raise ParameterError(f"--r must be >= 2, got {ns.r}")
+    _check_node_budget(ns)
     family = _load_family(Path(ns.file))
-    if ns.exact:
-        value = alpha_exact(family, ns.r, budget=ns.node_budget)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "file": Path(ns.file).name,
-            "r": ns.r,
-            "m": family.m,
-            "exact": _rat_json(value),
-        }
-        text = f"alpha exact = {value} (m={family.m}, r={ns.r})"
-    else:
-        est = alpha_monte_carlo(family, ns.r, trials=ns.trials, seed=ns.seed)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "file": Path(ns.file).name,
-            "r": ns.r,
-            "m": family.m,
-            "estimate": est.estimate,
-            "trials": est.trials,
-            "seed": est.seed,
-        }
-        text = (
-            f"alpha estimate = {est.estimate!r} "
-            f"(m={family.m}, r={ns.r}, trials={est.trials}, seed={est.seed})"
-        )
-    sys.stdout.write(_dump_json(payload) if ns.json else text + "\n")
+    payload = {"schema": SCHEMA_VERSION, "file": Path(ns.file).name, "r": ns.r, "m": family.m}
+    with _int_digits_unlimited():  # m^r may pass the default digit limit
+        if ns.exact:
+            value = alpha_exact(family, ns.r, budget=ns.node_budget)
+            payload["exact"] = _rat_json(value)
+            text = f"alpha exact = {value} (m={family.m}, r={ns.r})"
+        else:
+            est = alpha_monte_carlo(family, ns.r, trials=ns.trials, seed=ns.seed)
+            payload.update(estimate=est.estimate, trials=est.trials, seed=est.seed)
+            text = (
+                f"alpha estimate = {est.estimate!r} "
+                f"(m={family.m}, r={ns.r}, trials={est.trials}, seed={est.seed})"
+            )
+        sys.stdout.write(_dump_json(payload) if ns.json else text + "\n")
     return EXIT_OK
 
 
@@ -369,7 +364,8 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
 @contextmanager
 def _int_digits_unlimited():
     """Lift Python's limit on int-to-str digits for the block, where it has one.
-    Bound values stay under ``BOUND_BIT_CAP`` bits, so they print fast."""
+    Bound values and alpha's m^r stay under ``BOUND_BIT_CAP`` bits, so they
+    print fast."""
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
         yield
@@ -432,6 +428,7 @@ _KIND_ALIASES = {
 
 
 def cmd_extremal(ns: argparse.Namespace) -> int:
+    _check_node_budget(ns)
     kind = _KIND_ALIASES[ns.kind]
     result = extremal_search(
         kind, ns.r, ns.k, d=ns.d, ground_cap=ns.ground_cap, node_budget=ns.node_budget

@@ -57,13 +57,13 @@ class ShatterTree:
 
 
 def _vc_from_masks(
-    masks: Sequence[int], n: int, budget: Budget | None = None
+    masks: Sequence[int], budget: Budget | None = None
 ) -> tuple[int, tuple[int, ...]]:
     md = len(masks)
     if md == 0:
         return 0, ()
     full = (1 << md) - 1
-    cols = columns_of(masks, n)
+    cols = columns_of(masks, max(masks).bit_length())  # up to the highest element held
 
     def shattered(elems: tuple[int, ...]) -> bool:
         if budget is not None:
@@ -118,7 +118,7 @@ def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tup
     """
     distinct, _ = family.distinct()
     b = Budget(budget) if budget is not None else None
-    return _vc_from_masks(distinct.masks, family.ground_size, b)
+    return _vc_from_masks(distinct.masks, b)
 
 
 def sauer_shelah_capacity(n: int, d: int, max_bits: int | None = None) -> int:

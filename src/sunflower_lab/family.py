@@ -15,9 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     EmptyFamilyError,
@@ -271,20 +271,25 @@ def _candidate_cores(values: Iterable[int]) -> list[int]:
     return sorted(cores, key=member_of)
 
 
-def _disjoint_subset(
-    masks: Sequence[int], budget: Budget | None, size: int | None = None
-) -> Optional[tuple[int, ...]]:
-    """Positions of pairwise disjoint ``masks``: the lexicographically first
-    ``size`` of them (``None`` if there are none), or, without ``size``, the
-    least largest such subset.  Depth first on an explicit stack of nodes
-    ``(chosen, cand)``, ``cand`` the bitset of the untried later positions
-    whose masks miss every chosen mask, lowest position first; a node opens
-    (one ``budget.spend()``) only while its candidates can reach ``size``, or
-    one more than the best so far."""
-    total = len(masks)
-    goal = 1 if size is None else size
+def _least_largest(
+    total: int,
+    allowed: Callable[[tuple[int, ...]], int],
+    budget: Budget | None,
+    least: int = 1,
+    most: int | None = None,
+) -> tuple[int, ...]:
+    """The lexicographically least largest set of positions ``0..total-1``
+    with a hereditary property, between ``least`` and ``most`` positions;
+    ``()`` if no set reaches ``least``.  ``allowed(chosen)`` is the bitset of
+    the positions that may join ``chosen`` (a set with the property).
+
+    Depth first on an explicit stack of nodes ``(chosen, cand)``, ``cand`` the
+    bitset of the untried later positions allowed to join ``chosen``, lowest
+    position first; a node opens (one ``budget.spend()``) only while its
+    candidates can reach the goal: ``least``, then one more than the best so
+    far.  A set of ``most`` positions returns at once."""
+    goal = least
     best: tuple[int, ...] = ()
-    apart: dict[int, int] = {}  # t: the positions above t whose masks miss masks[t]
     stack = [((), (1 << total) - 1)]
     if budget is not None and total >= goal:
         budget.spend()
@@ -298,21 +303,39 @@ def _disjoint_subset(
         stack[-1] = (chosen, cand)
         child = chosen + (t,)
         if len(child) == goal:
-            if size is not None:
+            if goal == most:
                 return child
             best, goal = child, goal + 1
+        cand &= allowed(child)
+        if len(child) + cand.bit_count() >= goal:
+            if budget is not None:
+                budget.spend()
+            stack.append((child, cand))
+    return best
+
+
+def _disjoint_subset(
+    masks: Sequence[int], budget: Budget | None, size: int | None = None
+) -> Optional[tuple[int, ...]]:
+    """Positions of pairwise disjoint ``masks``: the lexicographically first
+    ``size`` of them (``None`` if there are none), or, without ``size``, the
+    least largest such subset, found by :func:`_least_largest`."""
+    total = len(masks)
+    apart: dict[int, int] = {}  # t: the positions above t whose masks miss masks[t]
+
+    def allowed(chosen: tuple[int, ...]) -> int:
+        t = chosen[-1]
         if t not in apart:
             mt, bits = masks[t], 0
             for j in range(t + 1, total):
                 if not masks[j] & mt:
                     bits |= 1 << j
             apart[t] = bits
-        cand &= apart[t]
-        if len(child) + cand.bit_count() >= goal:
-            if budget is not None:
-                budget.spend()
-            stack.append((child, cand))
-    return best if size is None else None
+        return apart[t]
+
+    if size is None:
+        return _least_largest(total, allowed, budget)
+    return _least_largest(total, allowed, budget, size, size) or None
 
 
 def _sunflower_core_search(
@@ -387,16 +410,18 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
 
     total = sum(c**r for c in counts.values())
 
-    fact = [math.factorial(s) for s in range(r + 1)]
+    # a core's petals are distinct values, so no more of them join one tuple
+    most = min(r, len(values))
+    fact = [math.factorial(s) for s in range(most + 1)]
     for core in _candidate_cores(values):
         b.spend()
         petals = [(v & ~core, counts[v]) for v in values if v & core == core and v != core]
         if not petals:
             continue
-        # weighted number of s-subsets of pairwise disjoint petals, s = 1..r,
+        # weighted number of s-subsets of pairwise disjoint petals, s = 1..most,
         # walked depth first; the open node of depth d holds stack[d] =
         # (next position to try, union of its petals, product of their weights)
-        e = [0] * (r + 1)
+        e = [0] * (most + 1)
         b.spend()
         stack = [(0, 0, 1)]
         while stack:
@@ -410,12 +435,12 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
             if len(stack) < r:
                 b.spend()
                 stack.append((t + 1, used | petal, prod * w))
-        total += fact[r] * e[r]
-        n_core = counts.get(core)
-        if n_core is not None:
-            for s in range(1, r):
-                c = r - s
-                total += math.comb(r, c) * fact[s] * n_core**c * e[s]
+        # tuples of s petals and c = r - s copies of the core (0**0 == 1, so
+        # c = 0 counts when the core is no member; no other c does then)
+        n_core = counts.get(core, 0)
+        for s in range(1 if n_core else r, most + 1):
+            c = r - s
+            total += math.comb(r, c) * fact[s] * n_core**c * e[s]
     return total
 
 
@@ -504,7 +529,7 @@ def lambda_number(
     """Largest l <= cap such that some l members have, for every pair among
     them, a witness element lying in exactly that pair (among the chosen l).
 
-    The property is hereditary, so a depth-first search over index subsets
+    The property is hereditary, so the search (:func:`_least_largest`)
     extends only satisfying sets: each node takes, from the column bitmasks,
     the bitset of the later members that keep the property
     (:func:`_pair_witness_extensions`) and walks it in ascending order.
@@ -513,39 +538,14 @@ def lambda_number(
     """
     if cap < 1:
         raise ParameterError("lambda cap must be >= 1")
-    masks = family.masks
     m = family.m
     if m == 0:
-        return LambdaResult(0, (), cap, False)
-    cols = family.columns
-    cap_eff = min(cap, m)
+        return LambdaResult(0, (), cap, False)  # family.columns would span the ground
     b = Budget(budget) if budget is not None else None
-    best: list[int] = []
-
-    def dfs(start: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        if len(chosen) == cap_eff or len(best) == cap_eff:
-            return
-        if b is not None:
-            b.spend()
-        ext = _pair_witness_extensions(masks, cols, chosen) >> start
-        while ext:
-            low = ext & -ext
-            i = start + low.bit_length() - 1
-            if len(chosen) + (m - i) <= len(best):
-                break
-            chosen.append(i)
-            dfs(i + 1, chosen)
-            chosen.pop()
-            if len(best) == cap_eff:
-                return
-            ext ^= low
-
-    dfs(0, [])
+    extensions = partial(_pair_witness_extensions, family.masks, family.columns)
+    best = _least_largest(m, extensions, b, most=min(cap, m))
     cap_hit = len(best) == cap and cap < m
-    return LambdaResult(len(best), tuple(best), cap, cap_hit)
+    return LambdaResult(len(best), best, cap, cap_hit)
 
 
 def _pair_witness_extensions(

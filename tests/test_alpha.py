@@ -66,6 +66,20 @@ class TestAlphaExact:
         with pytest.raises(EmptyFamilyError):
             alpha_exact(SetFamily(1, ()), 3)
 
+    def test_large_r_counts_no_more_petals_than_values(self):
+        # three values, so at most three petals join a tuple, whatever r is
+        fam = SetFamily.from_sets(4, [[0, 1], [1, 2], [2, 3]])
+        assert count_sunflower_tuples(fam, 20_000) == 3
+        assert alpha_exact(fam, 20_000) == Fraction(3, 3**20_000)
+
+    def test_m_pow_r_past_the_bit_cap_refused_before_counting(self):
+        fam = SetFamily.from_sets(4, [[0, 1], [1, 2], [2, 3]])
+        # a zero budget would abort the first counting step; 3^60000 has
+        # 95,098 bits, past the cap though 60,001 bits are all _pow foresees
+        for r in (60_000, BOUND_BIT_CAP):
+            with pytest.raises(ParameterError, match="more than 65536 bits"):
+                alpha_exact(fam, r, budget=0)
+
 
 class TestAlphaMonteCarlo:
     def test_identical_sets_estimate_one(self):
@@ -325,6 +339,12 @@ class TestCheckInequalities:
         by_name = {c.name: c for c in report.checks}
         assert by_name["nu<=tau"].status == "skip"
         assert report.all_passed
+
+    def test_active_elements_counted_from_the_members(self):
+        # elements no member holds are not active, however large the ground
+        report = check_inequalities(SetFamily(3_000_000, ((0, 1), (1, 2))), 3)
+        by_name = {c.name: c for c in report.checks}
+        assert "n_active=3," in by_name["sauer_shelah"].detail
 
     def test_extremal_f_check(self):
         res = extremal_search("family", 3, 1)

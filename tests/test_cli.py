@@ -143,7 +143,9 @@ class TestAnalyze:
         for good in (results[0], results[2]):
             assert "error" not in good and good["vc"] == 1
 
-    @pytest.mark.parametrize("bad_param", (("--r", "2"), ("--lambda-cap", "0")))
+    @pytest.mark.parametrize(
+        "bad_param", (("--r", "2"), ("--lambda-cap", "0"), ("--node-budget", "-1"))
+    )
     @pytest.mark.parametrize("workers", ("1", "2"))
     def test_analyze_directory_bad_parameter_reported_once(
         self, capsys, tmp_path, bad_param, workers
@@ -163,6 +165,7 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.count("invalid input: ") == 1
+        assert err.startswith(f"invalid input: {bad_param[0]} must be >= ")
         if bad_param[0] == "--r":
             assert err == "invalid input: --r must be >= 3 (r = 2 is always satisfiable), got 2\n"
 
@@ -226,6 +229,18 @@ class TestAlphaCommand:
         assert code == EXIT_OK
         assert "alpha exact = 1" in stdout
 
+    def test_exact_large_r_prints(self, capsys, tmp_path):
+        f = tmp_path / "path.setfam"
+        write_setfam(SetFamily.from_sets(4, [[0, 1], [1, 2], [2, 3]]), f)
+        code, stdout, _ = run_cli(capsys, "alpha", str(f), "--r", "20000", "--exact")
+        assert code == EXIT_OK
+        with _int_digits_unlimited():
+            assert stdout == f"alpha exact = 1/{3**19_999} (m=3, r=20000)\n"
+        code, stdout, err = run_cli(capsys, "alpha", str(f), "--r", "70000", "--exact")
+        assert code == EXIT_PARSE
+        assert stdout == ""
+        assert err.startswith("invalid input: exact value has more than 65536 bits")
+
     @pytest.mark.parametrize("mode", (("--exact",), ("--trials", "10")))
     def test_bad_r_named_before_the_file_is_read(self, capsys, tmp_path, mode):
         missing = tmp_path / "missing.setfam"
@@ -233,6 +248,16 @@ class TestAlphaCommand:
         assert code == EXIT_PARSE
         assert out == ""
         assert err == "invalid input: --r must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("mode", (("--exact",), ("--trials", "10")))
+    def test_negative_node_budget_named_before_the_file_is_read(self, capsys, tmp_path, mode):
+        missing = tmp_path / "missing.setfam"
+        code, out, err = run_cli(
+            capsys, "alpha", str(missing), "--node-budget", "-1", *mode
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "invalid input: --node-budget must be >= 0, got -1\n"
 
     def test_trials_deterministic(self, capsys, tmp_path):
         f = tmp_path / "disj.setfam"
@@ -312,6 +337,15 @@ class TestExtremalCommand:
         code, stdout, _ = run_cli(capsys, "extremal", "family", "--r", "3", "--k", "2", "--node-budget", "4")
         assert code == EXIT_BUDGET
         assert "lower bound" in stdout
+
+    def test_negative_node_budget_refused(self, capsys):
+        # refused before the search, which would otherwise report a lower bound
+        code, out, err = run_cli(
+            capsys, "extremal", "family", "--r", "3", "--k", "2", "--node-budget", "-1"
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "invalid input: --node-budget must be >= 0, got -1\n"
 
     def test_identity_report(self, capsys):
         code, stdout, _ = run_cli(

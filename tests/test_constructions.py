@@ -332,7 +332,7 @@ def parents_and_member(draw):
             continue
         if _sunflower_core_search(trial, range(len(trial)), r, None) is not None:
             continue
-        if _vc_from_masks(trial, n)[0] <= d:
+        if _vc_from_masks(trial)[0] <= d:
             parent.append(mk)
     return n, r, d, parent, draw(ksets)
 
@@ -351,7 +351,7 @@ class TestIncrementalChecks:
     def test_new_shattered_set(self, case):
         n, _, d, parent, cand = case
         cols = columns_of(parent, n)
-        whole = _vc_from_masks(parent + [cand], n)[0]
+        whole = _vc_from_masks(parent + [cand])[0]
         assert _shatters_new_set(cols, len(parent), cand, d, n) == (whole > d)
 
     @settings(max_examples=300, deadline=None)

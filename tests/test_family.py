@@ -436,14 +436,33 @@ class TestLambda:
             chosen.append(data.draw(st.sampled_from(literal)))
 
     def test_budget_aborts_pinned(self):
-        # the search on tree_family(3, 6) visits 496 nodes in a fixed order:
+        # the search on tree_family(3, 6) visits 31 nodes in a fixed order:
         # a smaller budget aborts at its (budget + 1)-th node
         fam = tree_family(3, 6)
-        for budget in (1, 10, 100, 495):
+        for budget in (1, 10, 30):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 lambda_number(fam, budget=budget)
-        for budget in (496, 1000):
+        for budget in (31, 1000):
             assert lambda_number(fam, budget=budget) == LambdaResult(2, (0, 1), 8, False)
+
+    def test_deep_lambda_needs_no_deep_recursion(self):
+        # member i holds the pairs of [60] that contain i, so any two members
+        # share exactly their own pair and all 60 are chosen one inside the
+        # other; with the recursion limit only 50 frames above the current
+        # depth, a search that recursed once per chosen member would raise
+        # RecursionError
+        pairs = list(combinations(range(60), 2))
+        fam = SetFamily.from_sets(len(pairs), [
+            [p for p, pair in enumerate(pairs) if i in pair] for i in range(60)
+        ])
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            res = lambda_number(fam, cap=100)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.value == 60 and not res.cap_hit
 
 
 class TestDual:
