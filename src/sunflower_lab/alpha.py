@@ -67,8 +67,9 @@ def alpha_exact(family: SetFamily, r: int, budget: int | None = None) -> Fractio
     :data:`BOUND_BIT_CAP` bits is refused before anything is counted."""
     if family.m == 0:
         raise EmptyFamilyError("alpha_exact needs a nonempty family")
-    draws = _pow(family.m, r)
-    _capped(draws.bit_length())  # _pow refuses by a lower estimate only
+    of = "alpha's denominator m^r"
+    draws = _pow(family.m, r, of)
+    _capped(draws.bit_length(), of)  # _pow refuses by a lower estimate only
     return Fraction(count_sunflower_tuples(family, r, budget=budget), draws)
 
 
@@ -158,18 +159,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
-_PAST_CAP = f"exact value has more than {BOUND_BIT_CAP} bits (the cap on bound values)"
+_PAST_CAP = f"exact value has more than {BOUND_BIT_CAP} bits (the cap on {{}})"
 
 
-def _capped(bits: int) -> None:
+def _capped(bits: int, of: str = "bound values") -> None:
     if bits > BOUND_BIT_CAP:
-        raise ParameterError(_PAST_CAP)
+        raise ParameterError(_PAST_CAP.format(of))
 
 
-def _pow(base: int, exp: int) -> int:
+def _pow(base: int, exp: int, of: str = "bound values") -> int:
     """``base ** exp`` for ``base, exp >= 0``; refused before it is raised when
-    it would pass the cap, since it has at least exp*(bits(base)-1)+1 bits."""
-    _capped(exp * (base.bit_length() - 1) + 1)
+    it would pass the cap (on ``of``), since it has at least exp*(bits(base)-1)+1 bits."""
+    _capped(exp * (base.bit_length() - 1) + 1, of)
     return base**exp
 
 
@@ -265,7 +266,7 @@ def _bound_ss(n: int, d: int) -> BoundValue:
     try:
         value = sauer_shelah_capacity(n, d, BOUND_BIT_CAP)
     except ParameterError:
-        raise ParameterError(_PAST_CAP) from None
+        raise ParameterError(_PAST_CAP.format("bound values")) from None
     return BoundValue("SS", (("n", n), ("d", d)), Fraction(value), "sum_{i<=d} C(n, i)")
 
 
@@ -400,6 +401,7 @@ class FamilyAnalysis:
         self.lambda_cap = lambda_cap
         self.budget = budget
         self._flowers: dict[int, Optional[Sunflower]] = {}
+        self._alphas: dict[int, Fraction] = {}
 
     @cached_property
     def vc(self) -> tuple[int, tuple[int, ...]]:
@@ -430,6 +432,11 @@ class FamilyAnalysis:
             free = any(s < r and hit is None for s, hit in self._flowers.items())
             self._flowers[r] = None if free else find_sunflower(self.family, r, budget=self.budget)
         return self._flowers[r]
+
+    def alpha(self, r: int) -> Fraction:
+        if r not in self._alphas:
+            self._alphas[r] = alpha_exact(self.family, r, self.budget)
+        return self._alphas[r]
 
     def checks(
         self,
@@ -528,7 +535,7 @@ class FamilyAnalysis:
                     CheckResult("size<=f-1", "skip", "family is not sunflower-free")
                 )
             else:
-                a = alpha_exact(family, r, self.budget)
+                a = self.alpha(r)
                 ok = m <= extremal_f - 1 and a == Fraction(1, m ** (r - 1))
                 add(
                     "size<=f-1",
@@ -536,7 +543,7 @@ class FamilyAnalysis:
                     f"sunflower-free size {m} <= f-1 = {extremal_f - 1}; alpha = m^(1-r) = {a}",
                 )
         if extremal_g is not None:
-            a = alpha_exact(family, r, self.budget)
+            a = self.alpha(r)
             lo = evaluate_bound("L3", r=r, g=extremal_g).interval[1]
             add(
                 "alpha>=g^(1-r)/e",

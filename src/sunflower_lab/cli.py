@@ -47,6 +47,8 @@ from .errors import (
 from .family import SetFamily
 from .fileio import (
     Scene2,
+    loads_scene,
+    loads_setfam,
     read_scene,
     read_setfam,
     write_scene,
@@ -107,14 +109,13 @@ def _abbrev_int(value: int, limit: int = 60) -> str:
 
 def _load_family(path: Path) -> SetFamily:
     """Read a .setfam file, or trace a scene file into a family."""
-    with open(path, "r", encoding="ascii") as fh:
-        head = fh.read(16)
-    if head.startswith("scene2") or head.startswith("scene3"):
-        scene = read_scene(path)
+    text = path.read_text(encoding="ascii")
+    if text.startswith(("scene2", "scene3")):
+        scene = loads_scene(text, str(path))
         if isinstance(scene, Scene2):
             return trace_disks(scene.points, scene.disks)
         return trace_halfspaces(scene.points, scene.halfspaces)
-    return read_setfam(path)
+    return loads_setfam(text, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def _result_exit(res: dict) -> int:
 
 
 def _check_node_budget(ns: argparse.Namespace) -> None:
-    if ns.node_budget is not None and ns.node_budget < 0:
+    if (ns.node_budget or 0) < 0:  # no budget means no limit
         raise ParameterError(f"--node-budget must be >= 0, got {ns.node_budget}")
 
 

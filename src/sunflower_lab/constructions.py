@@ -287,8 +287,10 @@ def extremal_search(
         d = None
 
     allow_duplicates = kind == "multifamily"
-    solver = LittlestoneSolver()
     budget = Budget(node_budget)
+    # the per-candidate checks count their own nodes, apart from ``nodes``
+    checks = Budget(None)
+    solver = LittlestoneSolver(checks)
     aborted = False
     best: list[Member] = []
     best_ground = 0
@@ -297,7 +299,7 @@ def extremal_search(
     def allowed(masks: list[int], cols: tuple[int, ...], cand: int, n: int) -> bool:
         # ``masks`` already meets every constraint; ``cols`` are its columns
         # and ``n`` the ground used once ``cand`` joins
-        if _sunflower_through(masks, cand, r):
+        if _sunflower_through(masks, cand, r, checks):
             return False
         if kind == "ls_bounded":
             # an accepted candidate stays pushed while its subtree is searched
@@ -359,7 +361,7 @@ def extremal_search(
     )
 
 
-def _sunflower_through(masks: Sequence[int], cand: int, r: int) -> bool:
+def _sunflower_through(masks: Sequence[int], cand: int, r: int, budget: Budget) -> bool:
     """Whether ``cand`` and ``r - 1`` of the sunflower-free ``masks`` form an
     r-sunflower: some group of equal ``mask & cand`` (the core) holds ``r - 1``
     members whose petals outside the core are pairwise disjoint."""
@@ -368,7 +370,7 @@ def _sunflower_through(masks: Sequence[int], cand: int, r: int) -> bool:
         core = mk & cand
         groups.setdefault(core, []).append(mk & ~core)
     return any(
-        len(petals) >= r - 1 and _disjoint_subset(petals, None, r - 1) is not None
+        len(petals) >= r - 1 and _disjoint_subset(petals, budget, r - 1) is not None
         for petals in groups.values()
     )
 

@@ -56,9 +56,7 @@ class ShatterTree:
 # VC dimension
 
 
-def _vc_from_masks(
-    masks: Sequence[int], budget: Budget | None = None
-) -> tuple[int, tuple[int, ...]]:
+def _vc_from_masks(masks: Sequence[int], budget: Budget) -> tuple[int, tuple[int, ...]]:
     md = len(masks)
     if md == 0:
         return 0, ()
@@ -66,8 +64,7 @@ def _vc_from_masks(
     cols = columns_of(masks, max(masks).bit_length())  # up to the highest element held
 
     def shattered(elems: tuple[int, ...]) -> bool:
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         parts = [full]
         for e in elems:
             ce = cols[e]
@@ -117,8 +114,7 @@ def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tup
     empty family reports 0 by convention.
     """
     distinct, _ = family.distinct()
-    b = Budget(budget) if budget is not None else None
-    return _vc_from_masks(distinct.masks, b)
+    return _vc_from_masks(distinct.masks, Budget(budget))
 
 
 def sauer_shelah_capacity(n: int, d: int, max_bits: int | None = None) -> int:
@@ -164,10 +160,12 @@ class LittlestoneSolver:
     ``sel & cols[e]`` and the rest, of a splitting element e.  ``push`` adds a
     member at the next index and ``pop`` removes the last, with the memo
     entries that select it: entries are grouped by their highest member.  The
-    memo holds at most ``_MEMO_LIMIT`` entries in all.
+    memo holds at most ``_MEMO_LIMIT`` entries in all.  Every node the solver
+    opens, in any evaluation, is spent from ``budget``.
     """
 
-    def __init__(self, masks: Sequence[int] = ()):
+    def __init__(self, budget: Budget, masks: Sequence[int] = ()):
+        self._budget = budget
         self._cols: list[int] = []
         self._memo: list[dict[int, int]] = []
         self._memo_size = 0
@@ -189,11 +187,11 @@ class LittlestoneSolver:
         keep = ~(1 << len(self._memo))
         self._cols = [col & keep for col in self._cols]
 
-    def value(self, sel: int, budget: Budget | None = None) -> int:
+    def value(self, sel: int) -> int:
         """Littlestone dimension of the members selected by ``sel``."""
-        return self._value(sel, range(len(self._cols)), budget)
+        return self._value(sel, range(len(self._cols)))
 
-    def _value(self, sel: int, elems: Sequence[int], budget: Budget | None) -> int:
+    def _value(self, sel: int, elems: Sequence[int]) -> int:
         # ``elems`` includes every element that splits ``sel``
         sz = sel.bit_count()
         if sz <= 1:
@@ -202,8 +200,7 @@ class LittlestoneSolver:
         hit = memo.get(sel)
         if hit is not None:
             return hit
-        if budget is not None:
-            budget.spend()
+        self._budget.spend()
 
         cols = self._cols
         cands = []
@@ -224,10 +221,10 @@ class LittlestoneSolver:
             outside = sel ^ inside
             if 2 * inside.bit_count() > sz:
                 inside, outside = outside, inside  # smaller side first
-            a = self._value(inside, split, budget)
+            a = self._value(inside, split)
             if 1 + a <= best:
                 continue
-            v = 1 + min(a, self._value(outside, split, budget))
+            v = 1 + min(a, self._value(outside, split))
             if v > best:
                 best = v
                 if best == ub:
@@ -237,9 +234,7 @@ class LittlestoneSolver:
             self._memo_size += 1
         return best
 
-    def witness(
-        self, sel: int, depth: int, kept: Sequence[int], budget: Budget | None = None
-    ) -> ShatterTree:
+    def witness(self, sel: int, depth: int, kept: Sequence[int]) -> ShatterTree:
         """A depth-``depth`` witness tree for the members selected by ``sel``:
         the least element whose two sides both reach ``depth - 1`` at each
         node, and leaf ``kept[i]`` for the least member i selected."""
@@ -248,12 +243,12 @@ class LittlestoneSolver:
         for e, col in enumerate(self._cols):
             inside = sel & col
             outside = sel ^ inside
-            splits = inside and outside and self.value(inside, budget) >= depth - 1
-            if splits and self.value(outside, budget) >= depth - 1:
+            splits = inside and outside and self.value(inside) >= depth - 1
+            if splits and self.value(outside) >= depth - 1:
                 return ShatterTree.node(
                     e,
-                    self.witness(inside, depth - 1, kept, budget),
-                    self.witness(outside, depth - 1, kept, budget),
+                    self.witness(inside, depth - 1, kept),
+                    self.witness(outside, depth - 1, kept),
                 )
         raise AssertionError("witness reconstruction failed")  # pragma: no cover
 
@@ -268,11 +263,10 @@ def ls_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, Opt
     distinct, kept = family.distinct()
     if not distinct.m:
         return 0, None
-    solver = LittlestoneSolver(distinct.masks)
-    b = Budget(budget) if budget is not None else None
+    solver = LittlestoneSolver(Budget(budget), distinct.masks)
     full = (1 << distinct.m) - 1
-    d = solver.value(full, b)
-    return d, solver.witness(full, d, kept, b)
+    d = solver.value(full)
+    return d, solver.witness(full, d, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +289,7 @@ def ls_dimension_tree(
     n = family.ground_size
     cols = distinct.columns
     full = (1 << distinct.m) - 1
-    b = Budget(budget) if budget is not None else None
+    b = Budget(budget)
     memo: dict[tuple[int, int], bool] = {}
 
     def ok(sel: int, depth: int) -> bool:
@@ -305,8 +299,7 @@ def ls_dimension_tree(
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if b is not None:
-            b.spend()
+        b.spend()
         res = False
         for e in range(n):
             inside = sel & cols[e]

@@ -274,7 +274,7 @@ def _candidate_cores(values: Iterable[int]) -> list[int]:
 def _least_largest(
     total: int,
     allowed: Callable[[tuple[int, ...]], int],
-    budget: Budget | None,
+    budget: Budget,
     least: int = 1,
     most: int | None = None,
 ) -> tuple[int, ...]:
@@ -291,7 +291,7 @@ def _least_largest(
     goal = least
     best: tuple[int, ...] = ()
     stack = [((), (1 << total) - 1)]
-    if budget is not None and total >= goal:
+    if total >= goal:
         budget.spend()
     while stack:
         chosen, cand = stack[-1]
@@ -308,14 +308,13 @@ def _least_largest(
             best, goal = child, goal + 1
         cand &= allowed(child)
         if len(child) + cand.bit_count() >= goal:
-            if budget is not None:
-                budget.spend()
+            budget.spend()
             stack.append((child, cand))
     return best
 
 
 def _disjoint_subset(
-    masks: Sequence[int], budget: Budget | None, size: int | None = None
+    masks: Sequence[int], budget: Budget, size: int | None = None
 ) -> Optional[tuple[int, ...]]:
     """Positions of pairwise disjoint ``masks``: the lexicographically first
     ``size`` of them (``None`` if there are none), or, without ``size``, the
@@ -342,7 +341,7 @@ def _sunflower_core_search(
     masks: Sequence[int],
     indices: Sequence[int],
     r: int,
-    budget: Budget | None,
+    budget: Budget,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact search for ``r`` of the given members with pairwise-equal intersections.
 
@@ -451,8 +450,7 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
 def packing_number(family: SetFamily, budget: int | None = None) -> PackingResult:
     """Exact maximum number of pairwise disjoint members, with the
     lexicographically least maximum witness (branch and bound)."""
-    b = Budget(budget) if budget is not None else None
-    witness = _disjoint_subset(family.masks, b)
+    witness = _disjoint_subset(family.masks, Budget(budget))
     return PackingResult(len(witness), witness)
 
 
@@ -480,7 +478,7 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
     n = family.ground_size
     cols = family.columns
     full = (1 << m) - 1
-    b = Budget(budget) if budget is not None else None
+    b = Budget(budget)
     witness: tuple[int, ...] = ()
     best = m + 1
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
@@ -512,8 +510,7 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
             if rest.bit_length() < top:
                 top = rest.bit_length()
         else:
-            if b is not None:
-                b.spend()
+            b.spend()
             # children in descending order, so ascending ones pop first
             allowed = (allowed & ((1 << top) - 1)) << floor
             while allowed:
@@ -541,9 +538,8 @@ def lambda_number(
     m = family.m
     if m == 0:
         return LambdaResult(0, (), cap, False)  # family.columns would span the ground
-    b = Budget(budget) if budget is not None else None
     extensions = partial(_pair_witness_extensions, family.masks, family.columns)
-    best = _least_largest(m, extensions, b, most=min(cap, m))
+    best = _least_largest(m, extensions, Budget(budget), most=min(cap, m))
     cap_hit = len(best) == cap and cap < m
     return LambdaResult(len(best), best, cap, cap_hit)
 

@@ -36,7 +36,7 @@ class Scene3:
     halfspaces: tuple[Halfspace3, ...]
 
 
-def _content_lines(text: str, path: str | None) -> Iterator[tuple[int, str]]:
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r").strip()
         if not line or line.startswith("#"):
@@ -91,7 +91,7 @@ def dumps_setfam(family: SetFamily) -> str:
 
 
 def loads_setfam(text: str, path: str | None = None) -> SetFamily:
-    lines = _content_lines(text, path)
+    lines = _content_lines(text)
     try:
         header_no, header = next(lines)
     except StopIteration:
@@ -171,7 +171,7 @@ def dumps_scene(scene: Union[Scene2, Scene3]) -> str:
 
 
 def loads_scene(text: str, path: str | None = None) -> Union[Scene2, Scene3]:
-    lines = _content_lines(text, path)
+    lines = _content_lines(text)
     try:
         header_no, header = next(lines)
     except StopIteration:

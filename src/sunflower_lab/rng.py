@@ -1,4 +1,4 @@
-"""Seeded random streams with stable, platform-independent derivation.
+"""Seeded random streams, and the node :class:`Budget` every search spends from.
 
 String seeds make ``random.Random`` hash the seed with SHA-512, which is
 reproducible across processes and platforms (unlike ``hash()`` of a tuple).
@@ -20,7 +20,7 @@ def seeded_rng(*parts: object) -> random.Random:
 
 
 class Budget:
-    """A decrementing node budget; ``spend`` raises once the limit is hit."""
+    """A node counter; ``spend`` raises once ``used`` passes a ``limit`` other than ``None``."""
 
     __slots__ = ("limit", "used")
 
@@ -28,8 +28,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.limit is not None and self.used > self.limit:
             raise BudgetExceededError(
                 f"search budget exhausted ({self.used} > {self.limit} nodes)"

@@ -26,6 +26,7 @@ from sunflower_lab import (
     vc_dimension,
     write_setfam,
 )
+import sunflower_lab.alpha
 from sunflower_lab.alpha import BOUND_BIT_CAP, INV_E_HI, INV_E_LO, FamilyAnalysis
 from sunflower_lab.cli import _analyze_file
 
@@ -77,8 +78,9 @@ class TestAlphaExact:
         # a zero budget would abort the first counting step; 3^60000 has
         # 95,098 bits, past the cap though 60,001 bits are all _pow foresees
         for r in (60_000, BOUND_BIT_CAP):
-            with pytest.raises(ParameterError, match="more than 65536 bits"):
+            with pytest.raises(ParameterError, match="more than 65536 bits") as refused:
                 alpha_exact(fam, r, budget=0)
+            assert "(the cap on alpha's denominator m^r)" in str(refused.value)
 
 
 class TestAlphaMonteCarlo:
@@ -326,6 +328,20 @@ class TestCheckInequalities:
             if flower is not None:
                 assert res["sunflower"]["members"] == list(flower.member_indices)
                 assert res["sunflower"]["core"] == list(flower.core)
+
+    def test_alpha_counted_once_per_r(self, monkeypatch):
+        # the size<=f-1 and alpha>=g^(1-r)/e checks both read alpha at r
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return count_sunflower_tuples(*args, **kwargs)
+
+        monkeypatch.setattr(sunflower_lab.alpha, "count_sunflower_tuples", counted)
+        report = check_inequalities(tree_family(3, 3), 3, extremal_f=5, extremal_g=20)
+        statuses = {c.name: c.status for c in report.checks}
+        assert statuses["size<=f-1"] == statuses["alpha>=g^(1-r)/e"] == "pass"
+        assert len(calls) == 1
 
     def test_capped_lambda_reported_as_skip(self):
         fam = SetFamily.from_sets(3, [[0, 1], [1, 2], [0, 2]])

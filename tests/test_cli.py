@@ -240,6 +240,7 @@ class TestAlphaCommand:
         assert code == EXIT_PARSE
         assert stdout == ""
         assert err.startswith("invalid input: exact value has more than 65536 bits")
+        assert "alpha's denominator m^r" in err and "bound values" not in err
 
     @pytest.mark.parametrize("mode", (("--exact",), ("--trials", "10")))
     def test_bad_r_named_before_the_file_is_read(self, capsys, tmp_path, mode):

@@ -21,6 +21,7 @@ from sunflower_lab import (
 from sunflower_lab.constructions import _shatters_new_set, _sunflower_through
 from sunflower_lab.dimensions import LittlestoneSolver, _vc_from_masks
 from sunflower_lab.family import _sunflower_core_search, columns_of, mask_of, member_of
+from sunflower_lab.rng import Budget
 
 
 class TestTreeFamily:
@@ -330,9 +331,9 @@ def parents_and_member(draw):
         trial = parent + [mk]
         if not multi and mk in parent:
             continue
-        if _sunflower_core_search(trial, range(len(trial)), r, None) is not None:
+        if _sunflower_core_search(trial, range(len(trial)), r, Budget(None)) is not None:
             continue
-        if _vc_from_masks(trial)[0] <= d:
+        if _vc_from_masks(trial, Budget(None))[0] <= d:
             parent.append(mk)
     return n, r, d, parent, draw(ksets)
 
@@ -343,15 +344,15 @@ class TestIncrementalChecks:
     def test_sunflower_through_new_member(self, case):
         _, r, _, parent, cand = case
         family = parent + [cand]
-        whole = _sunflower_core_search(family, range(len(family)), r, None)
-        assert _sunflower_through(parent, cand, r) == (whole is not None)
+        whole = _sunflower_core_search(family, range(len(family)), r, Budget(None))
+        assert _sunflower_through(parent, cand, r, Budget(None)) == (whole is not None)
 
     @settings(max_examples=300, deadline=None)
     @given(parents_and_member())
     def test_new_shattered_set(self, case):
         n, _, d, parent, cand = case
         cols = columns_of(parent, n)
-        whole = _vc_from_masks(parent + [cand])[0]
+        whole = _vc_from_masks(parent + [cand], Budget(None))[0]
         assert _shatters_new_set(cols, len(parent), cand, d, n) == (whole > d)
 
     @settings(max_examples=300, deadline=None)
@@ -361,7 +362,7 @@ class TestIncrementalChecks:
         # one solver through random steps, each popping up to ``pops``
         # members and pushing ``mask``: after each push, its memo must answer
         # as a fresh family's search does
-        solver = LittlestoneSolver()
+        solver = LittlestoneSolver(Budget(None))
         masks: list[int] = []
         for pops, mask in steps:
             for _ in range(min(pops, len(masks))):

@@ -5,6 +5,7 @@ from itertools import chain, combinations
 import pytest
 
 from sunflower_lab import (
+    BudgetExceededError,
     ParameterError,
     SetFamily,
     ls_dimension,
@@ -15,6 +16,7 @@ from sunflower_lab import (
     vc_dimension,
 )
 from sunflower_lab.dimensions import LittlestoneSolver
+from sunflower_lab.rng import Budget
 
 from oracles import brute_least_shattered, brute_vc, random_family, validate_shatter_tree
 
@@ -60,6 +62,16 @@ class TestVcDimension:
             fam = random_family(rng, max_m=12, max_n=6, multifamily=it % 2 == 0)
             assert vc_dimension(fam)[1] == brute_least_shattered(fam)
 
+    @pytest.mark.parametrize("k, least", [(5, 99), (6, 259)])
+    def test_budget_aborts_pinned(self, k, least):
+        # the ascent on tree_family(3, k) tests ``least`` candidate sets in a fixed order:
+        # a smaller budget aborts at its (budget + 1)-th node
+        fam = tree_family(3, k)
+        for budget in (0, 1, least - 1):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                vc_dimension(fam, budget)
+        assert vc_dimension(fam, least) == vc_dimension(fam)
+
 
 class TestLsDimension:
     def test_tiny_families_are_zero(self):
@@ -97,7 +109,7 @@ class TestLsDimension:
 
     def test_shared_solver_memo_reuse(self):
         # a second search of the same members is answered from the memo
-        solver = LittlestoneSolver(power_set_family(3).masks)
+        solver = LittlestoneSolver(Budget(None), power_set_family(3).masks)
         full = (1 << 8) - 1
         a = solver.value(full)
         assert any(solver._memo)
@@ -114,6 +126,16 @@ class TestLsDimension:
         for fam in chain(small_corpus, multi, trees, cubes):
             value, tree = ls_dimension(fam)
             assert tree == ls_dimension_tree(fam, value)[1]
+
+    @pytest.mark.parametrize("k, least", [(5, 15), (6, 31)])
+    def test_budget_aborts_pinned(self, k, least):
+        # the solver on tree_family(3, k) opens ``least`` nodes in a fixed order:
+        # a smaller budget aborts at its (budget + 1)-th node
+        fam = tree_family(3, k)
+        for budget in (0, 1, least - 1):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                ls_dimension(fam, budget)
+        assert ls_dimension(fam, least) == ls_dimension(fam)
 
 
 class TestLsDimensionTree:
@@ -146,7 +168,7 @@ class TestLsDimensionTree:
     def test_shared_solver_agrees_with_tree_route(self, small_corpus):
         # one solver across the whole corpus, emptied by pop and refilled by
         # push for each family: no entry may answer for another family
-        solver = LittlestoneSolver()
+        solver = LittlestoneSolver(Budget(None))
         size = 0
         for fam in small_corpus:
             for _ in range(size):
@@ -158,6 +180,16 @@ class TestLsDimensionTree:
             value = solver.value((1 << size) - 1)
             assert ls_dimension_tree(fam, value)[0] == bool(fam.m)
             assert not ls_dimension_tree(fam, value + 1)[0]
+
+    @pytest.mark.parametrize("k, least", [(5, 5), (6, 5)])
+    def test_budget_aborts_pinned(self, k, least):
+        # the depth-2 tree search on tree_family(3, k) opens ``least`` nodes in a fixed order:
+        # a smaller budget aborts at its (budget + 1)-th node
+        fam = tree_family(3, k)
+        for budget in (0, 1, least - 1):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                ls_dimension_tree(fam, 2, budget)
+        assert ls_dimension_tree(fam, 2, least) == ls_dimension_tree(fam, 2)
 
 
 class TestSauerShelah:

@@ -33,6 +33,7 @@ from sunflower_lab import (
     vc_dimension,
 )
 from sunflower_lab.family import _disjoint_subset, _pair_witness_extensions
+from sunflower_lab.rng import Budget
 
 from oracles import (
     brute_count_tuples,
@@ -309,10 +310,10 @@ class TestDisjointSubset:
             pool = [rng.getrandbits(5) for _ in range(rng.randint(1, 6))] + [0]
             masks = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
             for size in (1, 2, 3, 4):
-                assert _disjoint_subset(masks, None, size) == first(masks, size)
+                assert _disjoint_subset(masks, Budget(None), size) == first(masks, size)
             hits = (first(masks, size) for size in range(len(masks), -1, -1))
             largest = next(hit for hit in hits if hit is not None)
-            assert _disjoint_subset(masks, None) == largest
+            assert _disjoint_subset(masks, Budget(None)) == largest
 
 
 class TestTransversal:
