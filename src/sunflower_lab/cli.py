@@ -46,7 +46,10 @@ from .errors import (
 )
 from .family import SetFamily
 from .fileio import (
+    SCENE2_MAGIC,
+    SCENE3_MAGIC,
     Scene2,
+    _content_lines,
     loads_scene,
     loads_setfam,
     read_scene,
@@ -110,7 +113,9 @@ def _abbrev_int(value: int, limit: int = 60) -> str:
 def _load_family(path: Path) -> SetFamily:
     """Read a .setfam file, or trace a scene file into a family."""
     text = path.read_text(encoding="ascii")
-    if text.startswith(("scene2", "scene3")):
+    # both formats skip blank and comment lines, so the first content line decides
+    _, first = next(_content_lines(text), (0, ""))
+    if first.startswith((SCENE2_MAGIC, SCENE3_MAGIC)):
         scene = loads_scene(text, str(path))
         if isinstance(scene, Scene2):
             return trace_disks(scene.points, scene.disks)

@@ -458,66 +458,115 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
     """Exact minimum hitting set, with the lexicographically least minimum
     witness.
 
-    One depth-first branch and bound visits hitting sets in lexicographic
-    order of their sorted tuples, on an explicit stack of
-    ``(covered members, least next element, chosen elements)`` so its depth is
-    not bounded by Python's recursion limit.  Only a cover smaller than the
-    best so far is kept, so the first cover of the minimum size, which is the
-    lexicographically least one, is the last kept.
+    Two depth-first searches on explicit stacks, so their depth is not bounded
+    by Python's recursion limit, spend from one budget:
+
+    1. the value (:func:`_transversal_value`): branch on the uncovered member
+       with the fewest elements not yet banned, Knuth's minimum-remaining-values
+       choice; child i takes its i-th element and bans the ones before it;
+    2. the witness (:func:`_least_cover`): visit hitting sets in lexicographic
+       order of their sorted tuples and return the first cover of that size.
+       No smaller cover exists and every cover of that size is reachable, so
+       the first one is the lexicographically least.
+
+    A node of either search opens (one ``spend()``) only while its uncovered
+    members may still be hit by few enough elements (:func:`_residual`); when
+    they need every element left, its subtree uses only theirs.
 
     Raises :class:`EmptyMemberError` if some member is empty (no transversal
     exists).  The empty family has transversal number 0.
     """
-    m = family.m
-    if m == 0:
-        return TransversalResult(0, ())
     masks = family.masks
+    if not masks:
+        return TransversalResult(0, ())
     for i, mask in enumerate(masks):
         if not mask:
             raise EmptyMemberError(f"member {i} is empty; no transversal exists")
-    n = family.ground_size
-    cols = family.columns
-    full = (1 << m) - 1
     b = Budget(budget)
-    witness: tuple[int, ...] = ()
-    best = m + 1
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    tau = _transversal_value(masks, b)
+    return TransversalResult(tau, _least_cover(masks, tau, b))
+
+
+def _residual(
+    rests: Sequence[int], hit: int, keep: int, slack: int
+) -> Optional[tuple[list[int], int]]:
+    """The ``rests`` that miss the elements ``hit``, each cut to the elements
+    ``keep``, fewest elements first (ties in their order), with the elements
+    the next ones must come from; ``None`` if fewer than ``slack`` more
+    elements cannot hit them all.
+
+    Pairwise disjoint ones each need an element of their own, so a greedy
+    disjoint set taken smallest first that reaches ``slack`` members (or an
+    empty one, which nothing can hit) proves it.  One member short of
+    ``slack``, that set needs every element left, so each lies in its union."""
+    out = [rest & keep for rest in rests if not rest & hit]
+    out.sort(key=int.bit_count)
+    used = 0
+    for rest in out:
+        if not rest & used:
+            slack -= 1
+            if slack <= 0 or not rest:
+                return None
+            used |= rest
+    return out, used if slack == 1 else -1
+
+
+def _transversal_value(masks: Sequence[int], budget: Budget) -> int:
+    """The minimum size of a hitting set of the nonempty ``masks``.
+
+    A node is its parent's uncovered members, the element it takes, the
+    elements it may still use and its depth; an opened node branches on its
+    uncovered member with the fewest such elements."""
+    best = len(masks) + 1  # above every minimum: an element per member hits them all
+    stack = [(masks, 0, -1, 0)]
     while stack:
-        covered, floor, chosen = stack.pop()
-        if covered == full:
-            if len(chosen) < best:
-                witness, best = chosen, len(chosen)
+        rests, hit, keep, depth = stack.pop()
+        found = _residual(rests, hit, keep, best - depth)
+        if found is None:
             continue
-        # one pass over the uncovered members' elements >= floor: pairwise
-        # disjoint ones each need their own element (the node opens only if
-        # that many fit below the best), an element outside all of them covers
-        # nothing new (allowed), and the member with the least top element must
-        # be hit by the next element or never (top)
-        slack = best - len(chosen)
-        used = allowed = 0
-        top = n
-        uncovered = full & ~covered
-        while uncovered:
-            low = uncovered & -uncovered
-            uncovered ^= low
-            rest = masks[low.bit_length() - 1] >> floor
-            if not rest & used:
-                slack -= 1
-                if slack <= 0 or not rest:
-                    break  # cannot beat the best, or this member can no longer be hit
-                used |= rest
+        rests, within = found
+        if not rests:
+            best = min(best, depth)
+            continue
+        budget.spend()
+        keep &= within
+        children = []
+        for e in member_of(rests[0]):
+            children.append((rests, 1 << e, keep, depth + 1))
+            keep &= ~(1 << e)
+        stack.extend(reversed(children))  # ascending elements pop first
+    return best
+
+
+def _least_cover(masks: Sequence[int], size: int, budget: Budget) -> tuple[int, ...]:
+    """The lexicographically least hitting set of ``size`` elements of the
+    nonempty ``masks``, where no smaller one exists.
+
+    A node is its parent's uncovered members, the element it takes, the
+    elements that may follow it and the chosen elements.  The next element
+    must hit an uncovered member, since a minimum cover has no idle element,
+    and must not pass the least top element of the uncovered members, which
+    no later element could hit."""
+    stack: list[tuple[Sequence[int], int, int, tuple[int, ...]]] = [(masks, 0, -1, ())]
+    while stack:
+        rests, hit, keep, chosen = stack.pop()
+        found = _residual(rests, hit, keep, size - len(chosen) + 1)
+        if found is None:
+            continue
+        rests, within = found
+        if not rests:
+            return chosen
+        budget.spend()
+        allowed = 0
+        for rest in rests:
             allowed |= rest
-            if rest.bit_length() < top:
-                top = rest.bit_length()
-        else:
-            b.spend()
-            # children in descending order, so ascending ones pop first
-            allowed = (allowed & ((1 << top) - 1)) << floor
-            while allowed:
-                e = allowed.bit_length() - 1
-                allowed ^= 1 << e
-                stack.append((covered | cols[e], e + 1, chosen + (e,)))
-    return TransversalResult(best, witness)
+        allowed &= within & ((1 << min(map(int.bit_length, rests))) - 1)
+        # children in descending order, so ascending ones pop first
+        while allowed:
+            e = allowed.bit_length() - 1
+            allowed ^= 1 << e
+            stack.append((rests, 1 << e, (-2 << e) & within, chosen + (e,)))
+    raise AssertionError("no cover of the given size")  # unreachable: size is the minimum
 
 
 def lambda_number(
@@ -597,7 +646,7 @@ def element_frequencies(family: SetFamily) -> FrequencyProfile:
     m = family.m
     fractions = []
     for e in range(family.ground_size):
-        cnt = bin(family.columns[e]).count("1")
+        cnt = family.columns[e].bit_count()
         fractions.append(Fraction(cnt, m))
     return FrequencyProfile(tuple(fractions), m)
 

@@ -118,6 +118,21 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    def test_analyze_scene_led_by_a_comment(self, capsys, tmp_path):
+        # blank and comment lines may precede the scene header, as in .setfam
+        plain, commented = tmp_path / "plain", tmp_path / "commented"
+        plain.mkdir()
+        commented.mkdir()
+        text = "scene2 1 1\np 0 0\nd 0 0 1\n"
+        (plain / "one.scene").write_text(text)
+        (commented / "one.scene").write_text("# comment\n\n" + text)
+        code, want, _ = run_cli(capsys, "analyze", str(plain / "one.scene"), "--json")
+        assert code == EXIT_OK
+        code, got, err = run_cli(capsys, "analyze", str(commented / "one.scene"), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert got == want
+        assert json.loads(got)["family"] == {"m": 1, "n": 1, "multifamily": True}
+
     def test_analyze_directory_ordering_and_workers(self, capsys, tmp_path):
         for r, k, name in ((3, 2, "b.setfam"), (3, 3, "a.setfam"), (4, 2, "c.setfam")):
             run_cli(capsys, "gen", "tree", "--r", str(r), "--k", str(k), "--out", str(tmp_path / name))

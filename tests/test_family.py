@@ -28,6 +28,7 @@ from sunflower_lab import (
     lambda_number,
     packing_number,
     popular_element,
+    random_lowerbound_family,
     transversal_number,
     tree_family,
     vc_dimension,
@@ -367,15 +368,33 @@ class TestTransversal:
         assert res == TransversalResult(120, tuple(range(120)))
 
     def test_budget_aborts_pinned(self):
-        # the search on the edges of the 17-cycle opens 37 nodes in a fixed
-        # order: a smaller budget aborts at its (budget + 1)-th node
+        # the searches on the edges of the 17-cycle open 46 nodes in a fixed
+        # order, 37 for the value and 9 for the witness: a smaller budget
+        # aborts at its (budget + 1)-th node
         fam = SetFamily.from_sets(17, [(i, (i + 1) % 17) for i in range(17)])
-        for budget in (1, 10, 36):
+        for budget in (1, 10, 36, 37, 45):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 transversal_number(fam, budget=budget)
-        for budget in (37, 1000):
+        for budget in (46, 1000):
             res = transversal_number(fam, budget=budget)
             assert res == TransversalResult(9, (0, 1, 3, 5, 7, 9, 11, 13, 15))
+
+    def test_work_pinned_on_random_family(self):
+        # 40 random 5-subsets of [60] with tau = 10: the two searches open
+        # 1,256 nodes, so the budget that finishes pins their work
+        fam = random_lowerbound_family(3, 3, 5, n=60, m=40, seed=1)[0]
+        with pytest.raises(BudgetExceededError, match=r"\(1256 > 1255 nodes\)"):
+            transversal_number(fam, budget=1255)
+        res = transversal_number(fam, budget=1256)
+        assert res == TransversalResult(10, (0, 3, 4, 6, 10, 18, 39, 55, 57, 59))
+
+    @settings(max_examples=200, deadline=None)
+    @given(families(max_m=12, max_n=10, multifamily=True))
+    def test_matches_brute_force_property(self, fam):
+        fam = SetFamily(fam.ground_size, tuple(mem for mem in fam.members if mem), True)
+        res = transversal_number(fam)
+        assert res.value == brute_transversal(fam)
+        assert res.witness == brute_least_transversal(fam)
 
 
 class TestLambda:
