@@ -448,6 +448,7 @@ def cmd_extremal(ns: argparse.Namespace) -> int:
         "exact_value": result.exact_value,
         "exact": result.exact,
         "nodes": result.nodes,
+        "check_nodes": result.check_nodes,
         "max_ground_used": result.max_ground_used,
         "witness": {
             "m": result.witness.m,
@@ -458,7 +459,7 @@ def cmd_extremal(ns: argparse.Namespace) -> int:
     }
     if kind == "multifamily" and ns.identity_report:
         payload["identity_report"] = multifamily_identity_report(
-            ns.r, ns.k, node_budget=ns.node_budget
+            ns.r, ns.k, node_budget=ns.node_budget, multifamily=result
         )
     if ns.json:
         sys.stdout.write(_dump_json(payload))

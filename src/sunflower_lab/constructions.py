@@ -7,20 +7,30 @@ members greedily by least relabeled tuple yields such a representation.  All
 constraints used for pruning (sunflower-freeness, dimension caps) are
 hereditary under taking subfamilies, so pruning never loses the optimum.
 
-Because they are hereditary, every family the search extends already meets
-them, and a candidate member can only break them through itself.  A new
-r-sunflower must contain the candidate c, so its core is c's intersection
-with each of its other r-1 members: those lie in one group of equal
-``mask & c``, with pairwise disjoint petals outside that core (c's own petal
-misses theirs).  A newly shattered (d+1)-set S must get from c the one trace
-that the old members lack, since a trace that is already there adds no new
-pattern; so only the sets S on which c's trace is new are tested, and S is
-shattered exactly when the old members show every other trace.  Each check
-thus answers, for the one new member, what a whole-family search would.
-The Littlestone cap does evaluate the whole family, but the members along
-the search path are pushed onto one solver on the way down and popped on
-backtrack, so its memo of the fixed prefix's subfamilies serves the whole
-subtree.
+Each node tests its candidate members once and passes the list that passed
+down to its children, which inherit those verdicts (forward checking).  A
+node's family F holds no element at or above its ground ``used``, so renaming
+a candidate's elements at or above ``used`` to ``used, used + 1, ...`` in
+order is an isomorphism fixing F: F + c meets the constraints exactly when
+F + c' does, c' the renamed c.  A child's candidate c sorts after F's last
+member, and so does c', which is in normal form at ``used``: the node tested
+it.  A child, which adds member x, therefore takes as candidates only the
+normal-form sets whose renaming passed (a candidate that failed with F fails
+with F + x, the constraints being hereditary), and re-tests each for what x
+and it break together:
+
+* a new r-sunflower holds both, so its core is x & c, and r - 2 more members
+  meet both in that core with pairwise disjoint petals outside it;
+* a newly shattered (d+1)-set S gets from c the one trace that F + x lacks,
+  and x's trace on S is new to F, since otherwise F + c shatters S; so the
+  node lists once the sets on which x's trace is new and F + x shows every
+  trace but one, and c fails when it shows a listed missing trace;
+* the Littlestone cap evaluates the whole family, on one solver along the
+  search path: its members are pushed on the way down and popped on
+  backtrack, so its memo of the path's subfamilies serves every test below.
+
+The root's one candidate, the first k elements, is not tested: a family of
+one member meets every constraint.
 """
 
 from __future__ import annotations
@@ -253,6 +263,7 @@ class ExtremalResult:
     witness: SetFamily
     exact: bool
     nodes: int
+    check_nodes: int
     ground_cap: Optional[int]
     max_ground_used: int
     notes: tuple[str, ...] = ()
@@ -296,45 +307,57 @@ def extremal_search(
     best_ground = 0
     max_ground_used = 0
 
-    def allowed(masks: list[int], cols: tuple[int, ...], cand: int, n: int) -> bool:
-        # ``masks`` already meets every constraint; ``cols`` are its columns
-        # and ``n`` the ground used once ``cand`` joins
-        if _sunflower_through(masks, cand, r, checks):
-            return False
-        if kind == "ls_bounded":
-            # an accepted candidate stays pushed while its subtree is searched
-            solver.push(cand)
-            if solver.value((1 << (len(masks) + 1)) - 1) > d:
-                solver.pop()
-                return False
-            return True
-        if kind == "vc_bounded":
-            return not _shatters_new_set(cols, len(masks), cand, d, n)
-        return True
-
-    def extend(members: list[Member], masks: list[int], used: int) -> None:
+    def extend(
+        members: list[Member], masks: list[int], used: int, above: int, passed: list[Member]
+    ) -> None:
+        # ``passed``: the candidates that passed at the parent, whose ground
+        # was ``above``, from the newest member on
         nonlocal best, best_ground, max_ground_used
         budget.spend()
         if len(members) > len(best):
             best = members.copy()
             best_ground = used
         max_ground_used = max(max_ground_used, used)
-        last = members[-1] if members else None
-        # a candidate's elements lie below used + k
-        cols = columns_of(masks, used + k) if kind == "vc_bounded" else ()
-        for cand in _candidates(used, k, last, allow_duplicates, ground_cap):
-            cmask = mask_of(cand)
-            new_used = max(used, cmask.bit_length())
-            if not allowed(masks, cols, cmask, new_used):
+        if members:
+            last, old, x = members[-1], masks[:-1], masks[-1]
+            closing = []
+            if kind == "vc_bounded":
+                # a candidate c that shatters a new set shatters one below
+                # ``used``: with d >= 1 each of its elements lies in two
+                # members, and with d = 0 ``old`` is empty and c misses an
+                # element of x
+                closing = _closing_traces(old, x, d, used)
+        kept: list[Member] = []
+        for cand in _relabellings(passed, above, used, k, ground_cap):
+            if not members:
+                kept.append(cand)  # a one-member family meets every constraint
                 continue
+            if cand < last or cand == last and not allow_duplicates:
+                continue
+            cmask = mask_of(cand)
+            if _sunflower_with(old, x, cmask, r, checks):
+                continue
+            if any(cmask & s == trace for s, trace in closing):
+                continue
+            if kind == "ls_bounded":
+                solver.push(cmask)
+                over = solver.value((1 << (len(masks) + 1)) - 1) > d
+                solver.pop()
+                if over:
+                    continue
+            kept.append(cand)
+        for i, cand in enumerate(kept):
+            cmask = mask_of(cand)
             members.append(cand)
-            extend(members, masks + [cmask], new_used)
+            if kind == "ls_bounded":
+                solver.push(cmask)
+            extend(members, masks + [cmask], max(used, cmask.bit_length()), used, kept[i:])
             members.pop()
             if kind == "ls_bounded":
                 solver.pop()
 
     try:
-        extend([], [], 0)
+        extend([], [], 0, 0, [tuple(range(k))])
     except BudgetExceededError:
         aborted = True
     # ``extend`` reaches itself, and the solver's memo, through its closure:
@@ -355,91 +378,85 @@ def extremal_search(
         witness=witness,
         exact=not aborted,
         nodes=budget.used,
+        check_nodes=checks.used,
         ground_cap=ground_cap,
         max_ground_used=max_ground_used,
         notes=tuple(notes),
     )
 
 
-def _sunflower_through(masks: Sequence[int], cand: int, r: int, budget: Budget) -> bool:
-    """Whether ``cand`` and ``r - 1`` of the sunflower-free ``masks`` form an
-    r-sunflower: some group of equal ``mask & cand`` (the core) holds ``r - 1``
-    members whose petals outside the core are pairwise disjoint."""
-    groups: dict[int, list[int]] = {}
-    for mk in masks:
-        core = mk & cand
-        groups.setdefault(core, []).append(mk & ~core)
-    return any(
-        len(petals) >= r - 1 and _disjoint_subset(petals, budget, r - 1) is not None
-        for petals in groups.values()
-    )
+def _sunflower_with(masks: Sequence[int], x: int, cand: int, r: int, budget: Budget) -> bool:
+    """Whether ``x``, ``cand`` and ``r - 2`` of ``masks`` form an r-sunflower:
+    its core is ``x & cand``, and the others are members that meet both in
+    exactly that core and have pairwise disjoint petals outside it."""
+    core = x & cand
+    petals = [mk & ~core for mk in masks if mk & x == core and mk & cand == core]
+    return len(petals) >= r - 2 and _disjoint_subset(petals, budget, r - 2) is not None
 
 
-def _shatters_new_set(cols: Sequence[int], m: int, cand: int, d: int, n: int) -> bool:
-    """Whether adding ``cand`` to ``m`` masks, with columns ``cols``, that
-    shatter no (d+1)-subset of ``range(n)`` makes one shattered.  Only the
-    sets on which ``cand``'s trace is new can become shattered, and then
-    exactly when the old masks show all the other traces."""
+def _closing_traces(masks: Sequence[int], x: int, d: int, n: int) -> list[tuple[int, int]]:
+    """``(s, trace)`` for each (d+1)-subset of ``range(n)``, as a mask ``s``,
+    on which ``x``'s trace is new to ``masks`` and ``masks`` with ``x`` show
+    every trace but one, the missing ``trace``: a member with that trace
+    shatters ``s``."""
     size = d + 1
-    if m + 1 < 1 << size:
-        return False  # too few members for 2^(d+1) traces
-    full = (1 << m) - 1
+    if len(masks) + 2 < 1 << size:
+        return []  # too few members, with x and one more, for 2^(d+1) traces
+    full = (1 << len(masks)) - 1
+    # per element, the masks that agree with x on it
+    agree = [col if x >> e & 1 else full ^ col for e, col in enumerate(columns_of(masks, n))]
+    out = []
     for s in combinations(range(n), size):
-        same = full  # old masks whose trace on s is cand's
+        same = full  # masks whose trace on s is x's
         for e in s:
-            same &= cols[e] if cand >> e & 1 else ~cols[e]
+            same &= agree[e]
         if same:
             continue
-        parts = [full]
-        for e in s:
-            col = cols[e]
-            parts = [q for p in parts for q in (p & col, p & ~col) if q]
-        if len(parts) == (1 << size) - 1:
-            return True
-    return False
+        smask = mask_of(s)
+        traces = {mk & smask for mk in masks}
+        traces.add(x & smask)
+        if len(traces) == (1 << size) - 1:
+            # each element of s lies in half of the 2^(d+1) traces
+            out.append((smask, (smask << d) - sum(traces)))
+    return out
 
 
-def _candidates(
-    used: int,
-    k: int,
-    last: Optional[Member],
-    allow_duplicates: bool,
-    ground_cap: Optional[int],
-):
-    """Next members in normal form: a subset of the used elements followed by
-    a block of consecutive fresh ones, lexicographically >= (or >) the last."""
+def _relabellings(
+    passed: Sequence[Member], above: int, used: int, k: int, ground_cap: Optional[int]
+) -> list[Member]:
+    """In lexicographic order, the members in normal form at ground ``used``
+    (some used elements, then a block of fresh ones from ``used``) that give
+    a member of ``passed`` when their elements at or above ``above`` are
+    renamed ``above, above + 1, ...`` in order."""
     out: list[Member] = []
-    for fresh in range(k + 1):
-        if ground_cap is not None and used + fresh > ground_cap:
-            continue
-        block = tuple(range(used, used + fresh))
-        old = k - fresh
-        if old > used:
-            continue
-        for base in combinations(range(used), old):
-            cand = base + block
-            if last is not None:
-                if allow_duplicates:
-                    if cand < last:
-                        continue
-                else:
-                    if cand <= last:
-                        continue
-            out.append(cand)
+    for member in passed:
+        low = tuple(e for e in member if e < above)
+        high = k - len(low)
+        for fresh in range(high + 1):
+            if ground_cap is not None and used + fresh > ground_cap:
+                break
+            block = tuple(range(used, used + fresh))
+            for mid in combinations(range(above, used), high - fresh):
+                out.append(low + mid + block)
     out.sort()
     return out
 
 
 def multifamily_identity_report(
-    r: int, k: int, node_budget: Optional[int] = None
+    r: int,
+    k: int,
+    node_budget: Optional[int] = None,
+    multifamily: Optional[ExtremalResult] = None,
 ) -> dict:
     """Measure which closed form ties the multifamily threshold to the plain one.
 
     Computes f (plain) and g (multifamily) exactly at (r, k) and evaluates the
-    three candidate identities; nothing is hard-coded.
+    three candidate identities; nothing is hard-coded.  ``multifamily``, the
+    result of that same multifamily search, is used for g instead of a
+    second search.
     """
     f_res = extremal_search("family", r, k, node_budget=node_budget)
-    g_res = extremal_search("multifamily", r, k, node_budget=node_budget)
+    g_res = multifamily or extremal_search("multifamily", r, k, node_budget=node_budget)
     f, g = f_res.exact_value, g_res.exact_value
     candidates = {
         "(r-1)*f+1": (r - 1) * f + 1,

@@ -371,6 +371,12 @@ class TestExtremalCommand:
         doc = json.loads(stdout)
         assert doc["identity_report"]["identities"]["(r-1)*(f-1)+1"] is True
 
+    def test_json_reports_check_nodes(self, capsys):
+        code, stdout, _ = run_cli(capsys, "extremal", "family", "--r", "3", "--k", "2", "--json")
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert (doc["nodes"], doc["check_nodes"]) == (30, 33)
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

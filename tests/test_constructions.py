@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +19,14 @@ from sunflower_lab import (
     tree_family,
     vc_dimension,
 )
-from sunflower_lab.constructions import _shatters_new_set, _sunflower_through
+from sunflower_lab.constructions import _closing_traces, _relabellings, _sunflower_with
 from sunflower_lab.dimensions import LittlestoneSolver, _vc_from_masks
-from sunflower_lab.family import _sunflower_core_search, columns_of, mask_of, member_of
+from sunflower_lab.family import (
+    _disjoint_subset,
+    _sunflower_core_search,
+    mask_of,
+    member_of,
+)
 from sunflower_lab.rng import Budget
 
 
@@ -224,6 +230,12 @@ class TestExtremalSearch:
         assert rep["f"] == 4 and rep["g"] == 10
         assert rep["identities"]["(r-1)*(f-1)+1"] is True
 
+    def test_identity_report_reuses_multifamily_result(self):
+        g_res = extremal_search("multifamily", 3, 2)
+        assert multifamily_identity_report(3, 2, multifamily=g_res) == (
+            multifamily_identity_report(3, 2)
+        )
+
     def test_vc_bounded_singletons(self):
         res = extremal_search("vc_bounded", 3, 1, d=1)
         assert res.exact_value == 3
@@ -247,34 +259,38 @@ class TestExtremalSearch:
         assert res.nodes > 0
 
 
-# (kind, r, k, d) -> (exact_value, nodes, max_ground_used, witness members)
-# for the eight cases of the extremal benchmark
+# (kind, r, k, d) -> (exact_value, nodes, check_nodes, max_ground_used,
+# witness members) for the eight cases of the extremal benchmark
 EXTREMAL_SUITE = {
-    ("family", 3, 2, None): (7, 30, 6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
+    ("family", 3, 2, None): (7, 30, 33, 6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
     ("family", 4, 2, None): (
         11,
         4178,
+        7741,
         12,
         ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)),
     ),
     ("multifamily", 3, 2, None): (
         13,
         479,
+        457,
         6,
         ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2),
          (3, 4), (3, 4), (3, 5), (3, 5), (4, 5), (4, 5)),
     ),
-    ("ls_bounded", 3, 3, 1): (5, 90, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
-    ("ls_bounded", 4, 2, 1): (5, 20, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
+    ("ls_bounded", 3, 3, 1): (5, 90, 1688, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ("ls_bounded", 4, 2, 1): (5, 20, 128, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
     ("ls_bounded", 3, 4, 1): (
         6,
         636,
+        40453,
         12,
         ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
     ),
     ("vc_bounded", 3, 3, 1): (
         9,
         1375,
+        2349,
         14,
         ((0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6),
          (7, 8, 9), (7, 8, 10), (7, 11, 12), (7, 11, 13)),
@@ -282,9 +298,32 @@ EXTREMAL_SUITE = {
     ("vc_bounded", 4, 2, 1): (
         10,
         173,
+        269,
         12,
         ((0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (8, 9), (8, 10), (8, 11)),
     ),
+}
+
+
+# (kind, r, k, d, ground_cap) -> (exact_value, nodes, max_ground_used,
+# witness members): the ground-cap path and the d = 0 caps
+EXTREMAL_CAPPED = {
+    ("family", 3, 2, None, 4): (5, 10, 4, ((0, 1), (0, 2), (1, 3), (2, 3))),
+    ("family", 4, 2, None, 6): (
+        10,
+        424,
+        6,
+        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)),
+    ),
+    ("vc_bounded", 3, 3, 1, 7): (5, 184, 7, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ("ls_bounded", 3, 4, 1, 8): (
+        6,
+        390,
+        8,
+        ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
+    ),
+    ("vc_bounded", 3, 2, 0, None): (2, 2, 2, ((0, 1),)),
+    ("ls_bounded", 3, 3, 0, None): (2, 2, 3, ((0, 1, 2),)),
 }
 
 
@@ -297,12 +336,24 @@ class TestExtremalPinned:
     )
     def test_suite_case(self, case):
         kind, r, k, d = case
-        value, nodes, ground, witness = EXTREMAL_SUITE[case]
+        value, nodes, check_nodes, ground, witness = EXTREMAL_SUITE[case]
         res = extremal_search(kind, r, k, d=d)
         assert res.exact
         assert (res.exact_value, res.nodes, res.max_ground_used) == (value, nodes, ground)
+        assert res.check_nodes == check_nodes
         assert res.witness.members == witness
         assert res.witness.ground_size == 1 + max(e for mem in witness for e in mem)
+
+    @pytest.mark.parametrize(
+        "case", list(EXTREMAL_CAPPED), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_capped_and_d0_case(self, case):
+        kind, r, k, d, cap = case
+        value, nodes, ground, witness = EXTREMAL_CAPPED[case]
+        res = extremal_search(kind, r, k, d=d, ground_cap=cap)
+        assert res.exact
+        assert (res.exact_value, res.nodes, res.max_ground_used) == (value, nodes, ground)
+        assert res.witness.members == witness
 
     @pytest.mark.parametrize(
         "kind, r, k, budget, value, ground",
@@ -312,7 +363,50 @@ class TestExtremalPinned:
         res = extremal_search(kind, r, k, d=1, node_budget=budget)
         assert not res.exact
         assert (res.exact_value, res.nodes, res.max_ground_used) == (value, budget + 1, ground)
-        assert res.witness.members == EXTREMAL_SUITE[(kind, r, k, 1)][3]
+        assert res.witness.members == EXTREMAL_SUITE[(kind, r, k, 1)][-1]
+
+
+def _sunflower_through(masks, cand, r, budget):
+    """Whether ``cand`` and ``r - 1`` of the sunflower-free ``masks`` form an
+    r-sunflower: some group of equal ``mask & cand`` (the core) holds ``r - 1``
+    members whose petals outside the core are pairwise disjoint: the
+    whole-family reference for the search's pair test ``_sunflower_with``."""
+    groups = {}
+    for mk in masks:
+        core = mk & cand
+        groups.setdefault(core, []).append(mk & ~core)
+    return any(
+        len(petals) >= r - 1 and _disjoint_subset(petals, budget, r - 1) is not None
+        for petals in groups.values()
+    )
+
+
+def _canon(mask, u):
+    """``mask`` with its elements at or above ``u`` renamed ``u, u + 1, ...``
+    in order: no member below ``u`` moves, so a family below ``u`` with
+    ``mask`` added is isomorphic to that family with the result added."""
+    high = mask >> u
+    return (mask ^ (high << u)) | (((1 << high.bit_count()) - 1) << u)
+
+
+def _normal_form(used, k, cap=None):
+    """Every k-set in normal form at ground ``used``, under ``cap``, in
+    lexicographic order."""
+    out = []
+    for cand in combinations(range(used + k), k):
+        fresh = [e for e in cand if e >= used]
+        if fresh == list(range(used, used + len(fresh))):
+            if cap is None or used + len(fresh) <= cap:
+                out.append(cand)
+    return out
+
+
+def _has_sunflower(masks, r):
+    return _sunflower_core_search(masks, range(len(masks)), r, Budget(None)) is not None
+
+
+def _vc(masks):
+    return _vc_from_masks(masks, Budget(None))[0]
 
 
 @st.composite
@@ -331,11 +425,35 @@ def parents_and_member(draw):
         trial = parent + [mk]
         if not multi and mk in parent:
             continue
-        if _sunflower_core_search(trial, range(len(trial)), r, Budget(None)) is not None:
+        if _has_sunflower(trial, r):
             continue
-        if _vc_from_masks(trial, Budget(None))[0] <= d:
+        if _vc(trial) <= d:
             parent.append(mk)
     return n, r, d, parent, draw(ksets)
+
+
+@st.composite
+def family_below_and_member(draw):
+    """A list of k-sets of ``range(u)`` and a k-set that may hold elements at
+    or above ``u``."""
+    u = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(3, u)))
+    below = st.sets(st.integers(0, u - 1), min_size=k, max_size=k).map(mask_of)
+    family = draw(st.lists(below, max_size=10))
+    cand = draw(st.sets(st.integers(0, u + 2 * k), min_size=k, max_size=k).map(mask_of))
+    return u, family, cand
+
+
+@st.composite
+def passed_at_parent(draw):
+    """Some members in normal form at ``above``, and a child ground ``used``
+    at most ``k`` above it with an optional cap."""
+    above = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 3))
+    used = draw(st.integers(above, above + k))
+    cap = draw(st.none() | st.integers(used, used + k))
+    passed = draw(st.lists(st.sampled_from(_normal_form(above, k)), unique=True))
+    return passed, above, used, k, cap
 
 
 class TestIncrementalChecks:
@@ -343,17 +461,57 @@ class TestIncrementalChecks:
     @given(parents_and_member())
     def test_sunflower_through_new_member(self, case):
         _, r, _, parent, cand = case
-        family = parent + [cand]
-        whole = _sunflower_core_search(family, range(len(family)), r, Budget(None))
-        assert _sunflower_through(parent, cand, r, Budget(None)) == (whole is not None)
+        whole = _has_sunflower(parent + [cand], r)
+        assert _sunflower_through(parent, cand, r, Budget(None)) == whole
 
     @settings(max_examples=300, deadline=None)
     @given(parents_and_member())
     def test_new_shattered_set(self, case):
+        # the parent is F + x; for a candidate c with F + c VC <= d, c
+        # shatters a new set exactly when it shows a listed missing trace
         n, _, d, parent, cand = case
-        cols = columns_of(parent, n)
-        whole = _vc_from_masks(parent + [cand], Budget(None))[0]
-        assert _shatters_new_set(cols, len(parent), cand, d, n) == (whole > d)
+        if not parent or _vc(parent[:-1] + [cand]) > d:
+            return
+        closing = _closing_traces(parent[:-1], parent[-1], d, n)
+        shows = any(cand & s == trace for s, trace in closing)
+        assert shows == (_vc(parent + [cand]) > d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parents_and_member())
+    def test_sunflower_with_pair(self, case):
+        # the parent is F + x; for a candidate c with F + c sunflower-free,
+        # the pair test answers as the whole-family check on F + x + c
+        _, r, _, parent, cand = case
+        if not parent or _sunflower_through(parent[:-1], cand, r, Budget(None)):
+            return
+        whole = _sunflower_through(parent, cand, r, Budget(None))
+        assert _sunflower_with(parent[:-1], parent[-1], cand, r, Budget(None)) == whole
+
+    @settings(max_examples=300, deadline=None)
+    @given(passed_at_parent())
+    def test_relabellings_are_the_candidates_that_pass_lookup(self, case):
+        # a child's candidates are the normal-form k-sets whose relabelling
+        # at the parent's ground passed there
+        passed, above, used, k, cap = case
+        lookup = {mask_of(mem) for mem in passed}
+        want = [c for c in _normal_form(used, k, cap) if _canon(mask_of(c), above) in lookup]
+        assert _relabellings(passed, above, used, k, cap) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(family_below_and_member())
+    def test_relabelled_candidate_same_verdict(self, case):
+        u, family, cand = case
+        canon = _canon(cand, u)
+        low = (1 << u) - 1
+        assert canon & low == cand & low
+        assert canon >> u == (1 << (cand >> u).bit_count()) - 1
+        one, other = family + [cand], family + [canon]
+        for r in (3, 4):
+            assert _has_sunflower(one, r) == _has_sunflower(other, r)
+        assert _vc(one) == _vc(other)
+        n = max(one + other).bit_length()
+        fams = [SetFamily(n, tuple(member_of(mk) for mk in f), True) for f in (one, other)]
+        assert ls_dimension(fams[0])[0] == ls_dimension(fams[1])[0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 15)), max_size=24))
