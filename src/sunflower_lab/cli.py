@@ -458,8 +458,11 @@ def cmd_extremal(ns: argparse.Namespace) -> int:
         "notes": list(result.notes),
     }
     if kind == "multifamily" and ns.identity_report:
+        # the report's f and g are uncapped, so a capped search's result
+        # cannot stand in for g
+        reuse = result if ns.ground_cap is None else None
         payload["identity_report"] = multifamily_identity_report(
-            ns.r, ns.k, node_budget=ns.node_budget, multifamily=result
+            ns.r, ns.k, node_budget=ns.node_budget, multifamily=reuse
         )
     if ns.json:
         sys.stdout.write(_dump_json(payload))

@@ -318,7 +318,9 @@ def extremal_search(
             best = members.copy()
             best_ground = used
         max_ground_used = max(max_ground_used, used)
-        if members:
+        kept = _relabellings(passed, above, used, k, ground_cap)
+        if members:  # a one-member family meets every constraint
+            kept, candidates = [], kept
             last, old, x = members[-1], masks[:-1], masks[-1]
             closing = []
             if kind == "vc_bounded":
@@ -327,25 +329,23 @@ def extremal_search(
                 # members, and with d = 0 ``old`` is empty and c misses an
                 # element of x
                 closing = _closing_traces(old, x, d, used)
-        kept: list[Member] = []
-        for cand in _relabellings(passed, above, used, k, ground_cap):
-            if not members:
-                kept.append(cand)  # a one-member family meets every constraint
-                continue
-            if cand < last or cand == last and not allow_duplicates:
-                continue
-            cmask = mask_of(cand)
-            if _sunflower_with(old, x, cmask, r, checks):
-                continue
-            if any(cmask & s == trace for s, trace in closing):
-                continue
-            if kind == "ls_bounded":
-                solver.push(cmask)
-                over = solver.value((1 << (len(masks) + 1)) - 1) > d
-                solver.pop()
-                if over:
+            for cand in candidates:
+                # a relabelled candidate sorts at or after ``last``, whose
+                # relabelling is itself
+                if cand == last and not allow_duplicates:
                     continue
-            kept.append(cand)
+                cmask = mask_of(cand)
+                if _sunflower_with(old, x, cmask, r, checks):
+                    continue
+                if any(cmask & s == trace for s, trace in closing):
+                    continue
+                if kind == "ls_bounded":
+                    solver.push(cmask)
+                    over = solver.value((1 << (len(masks) + 1)) - 1) > d
+                    solver.pop()
+                    if over:
+                        continue
+                kept.append(cand)
         for i, cand in enumerate(kept):
             cmask = mask_of(cand)
             members.append(cand)

@@ -371,6 +371,24 @@ class TestExtremalCommand:
         doc = json.loads(stdout)
         assert doc["identity_report"]["identities"]["(r-1)*(f-1)+1"] is True
 
+    def test_identity_report_ignores_ground_cap(self, capsys):
+        # the report compares the uncapped f and g, whatever cap the
+        # reported search ran under
+        code, stdout, _ = run_cli(
+            capsys, "extremal", "multifamily", "--r", "3", "--k", "2",
+            "--ground-cap", "4", "--identity-report", "--json",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert (doc["exact_value"], doc["nodes"]) == (9, 63)
+        rep = doc["identity_report"]
+        assert (rep["f"], rep["g"], rep["exact"]) == (7, 13, True)
+        assert rep["identities"] == {
+            "(r-1)*f+1": False,
+            "(k-1)*f+1": False,
+            "(r-1)*(f-1)+1": True,
+        }
+
     def test_json_reports_check_nodes(self, capsys):
         code, stdout, _ = run_cli(capsys, "extremal", "family", "--r", "3", "--k", "2", "--json")
         assert code == EXIT_OK

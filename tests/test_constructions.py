@@ -2,7 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sunflower_lab import (
@@ -470,8 +470,7 @@ class TestIncrementalChecks:
         # the parent is F + x; for a candidate c with F + c VC <= d, c
         # shatters a new set exactly when it shows a listed missing trace
         n, _, d, parent, cand = case
-        if not parent or _vc(parent[:-1] + [cand]) > d:
-            return
+        assume(parent and _vc(parent[:-1] + [cand]) <= d)
         closing = _closing_traces(parent[:-1], parent[-1], d, n)
         shows = any(cand & s == trace for s, trace in closing)
         assert shows == (_vc(parent + [cand]) > d)
@@ -482,8 +481,7 @@ class TestIncrementalChecks:
         # the parent is F + x; for a candidate c with F + c sunflower-free,
         # the pair test answers as the whole-family check on F + x + c
         _, r, _, parent, cand = case
-        if not parent or _sunflower_through(parent[:-1], cand, r, Budget(None)):
-            return
+        assume(parent and not _sunflower_through(parent[:-1], cand, r, Budget(None)))
         whole = _sunflower_through(parent, cand, r, Budget(None))
         assert _sunflower_with(parent[:-1], parent[-1], cand, r, Budget(None)) == whole
 
