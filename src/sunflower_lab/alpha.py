@@ -465,6 +465,9 @@ class FamilyAnalysis:
         def add(name: str, ok: bool, detail: str) -> None:
             checks.append(CheckResult(name, "pass" if ok else "fail", detail))
 
+        def skip(name: str, detail: str) -> None:
+            checks.append(CheckResult(name, "skip", detail))
+
         add("vc<=ls", vc <= ls, f"vc={vc}, ls={ls}")
         log2_md = md.bit_length() - 1
         add("ls<=log2(m)", ls <= log2_md, f"ls={ls}, floor(log2 {md})={log2_md}")
@@ -478,22 +481,14 @@ class FamilyAnalysis:
         has_empty_member = any(not mem for mem in family.members)
         nu = self.nu
         if has_empty_member:
-            checks.append(
-                CheckResult("nu<=tau", "skip", "empty member: transversal undefined")
-            )
-            checks.append(CheckResult("dsw", "skip", "empty member: transversal undefined"))
+            skip("nu<=tau", "empty member: transversal undefined")
+            skip("dsw", "empty member: transversal undefined")
         else:
             tau = self.tau
             add("nu<=tau", nu.value <= tau.value, f"nu={nu.value}, tau={tau.value}")
             lam = self.lam
             if lam.cap_hit:
-                checks.append(
-                    CheckResult(
-                        "dsw",
-                        "skip",
-                        f"lambda search capped at {lam.cap}; value not exact",
-                    )
-                )
+                skip("dsw", f"lambda search capped at {lam.cap}; value not exact")
             else:
                 bound = evaluate_bound("DSW", lam=max(lam.value, 1), nu=nu.value).value
                 add(
@@ -505,13 +500,9 @@ class FamilyAnalysis:
         # popular-element bound applies to (r+1)-sunflower-free families of
         # nonempty members
         if has_empty_member:
-            checks.append(CheckResult("popular_element", "skip", "empty member present"))
+            skip("popular_element", "empty member present")
         elif self.sunflower(r + 1) is not None:
-            checks.append(
-                CheckResult(
-                    "popular_element", "skip", f"family contains an {r + 1}-sunflower"
-                )
-            )
+            skip("popular_element", f"family contains an {r + 1}-sunflower")
         else:
             k = family.max_member_size()
             _, frac = popular_element(family)
@@ -525,15 +516,11 @@ class FamilyAnalysis:
         uniform_k = family.is_uniform()
         if extremal_f is not None:
             if family.multifamily or md != m:
-                checks.append(
-                    CheckResult("size<=f-1", "skip", "needs distinct members")
-                )
+                skip("size<=f-1", "needs distinct members")
             elif uniform_k is None:
-                checks.append(CheckResult("size<=f-1", "skip", "needs a uniform family"))
+                skip("size<=f-1", "needs a uniform family")
             elif self.sunflower(max(r, 3)) is not None:
-                checks.append(
-                    CheckResult("size<=f-1", "skip", "family is not sunflower-free")
-                )
+                skip("size<=f-1", "family is not sunflower-free")
             else:
                 a = self.alpha(r)
                 ok = m <= extremal_f - 1 and a == Fraction(1, m ** (r - 1))

@@ -291,6 +291,8 @@ def extremal_search(
         raise ParameterError("extremal_search requires r >= 3")
     if k < 1:
         raise ParameterError("extremal_search requires k >= 1")
+    if ground_cap is not None and ground_cap < k:
+        raise ParameterError(f"extremal_search requires ground_cap >= k = {k}, got {ground_cap}")
     if kind in ("ls_bounded", "vc_bounded"):
         if d is None or d < 0:
             raise ParameterError(f"kind {kind!r} requires d >= 0")
@@ -403,8 +405,11 @@ def _closing_traces(masks: Sequence[int], x: int, d: int, n: int) -> list[tuple[
     if len(masks) + 2 < 1 << size:
         return []  # too few members, with x and one more, for 2^(d+1) traces
     full = (1 << len(masks)) - 1
-    # per element, the masks that agree with x on it
-    agree = [col if x >> e & 1 else full ^ col for e, col in enumerate(columns_of(masks, n))]
+    # per element, the masks that agree with x on it; the elements below n
+    # that no mask holds have empty columns
+    cols = columns_of(masks)
+    cols += (0,) * (n - len(cols))
+    agree = [col if x >> e & 1 else full ^ col for e, col in enumerate(cols)]
     out = []
     for s in combinations(range(n), size):
         same = full  # masks whose trace on s is x's

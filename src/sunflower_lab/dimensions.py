@@ -58,10 +58,8 @@ class ShatterTree:
 
 def _vc_from_masks(masks: Sequence[int], budget: Budget) -> tuple[int, tuple[int, ...]]:
     md = len(masks)
-    if md == 0:
-        return 0, ()
     full = (1 << md) - 1
-    cols = columns_of(masks, max(masks).bit_length())  # up to the highest element held
+    cols = columns_of(masks)
 
     def shattered(elems: tuple[int, ...]) -> bool:
         budget.spend()
@@ -83,7 +81,7 @@ def _vc_from_masks(masks: Sequence[int], budget: Budget) -> tuple[int, tuple[int
     # are, and only by elements of the members containing it (its all-in trace)
     level: list[tuple[int, ...]] = [()]
     best: tuple[int, ...] = ()
-    max_d = md.bit_length() - 1 if md else 0  # 2^d distinct traces need m >= 2^d
+    max_d = md.bit_length() - 1  # 2^d distinct traces need m >= 2^d
     while len(best) < max_d:
         prev = set(level)
         nxt: list[tuple[int, ...]] = []
@@ -280,13 +278,13 @@ def ls_dimension_tree(
     labeling by ``family``; exhaustive over element labels with memoization.
 
     This follows the tree definition literally (no element removal, no
-    balance pruning, every ground element is a candidate at every node), so it
-    is an independent oracle for :func:`ls_dimension`.
+    balance pruning, every element a member holds is a candidate at every
+    node; an element no member holds splits nothing), so it is an independent
+    oracle for :func:`ls_dimension`.
     """
     if d < 0:
         raise ParameterError("tree depth must be >= 0")
     distinct, kept = family.distinct()
-    n = family.ground_size
     cols = distinct.columns
     full = (1 << distinct.m) - 1
     b = Budget(budget)
@@ -300,13 +298,7 @@ def ls_dimension_tree(
         if hit is not None:
             return hit
         b.spend()
-        res = False
-        for e in range(n):
-            inside = sel & cols[e]
-            outside = sel & ~cols[e]
-            if ok(inside, depth - 1) and ok(outside, depth - 1):
-                res = True
-                break
+        res = any(ok(sel & col, depth - 1) and ok(sel & ~col, depth - 1) for col in cols)
         memo[key] = res
         return res
 
@@ -317,9 +309,8 @@ def ls_dimension_tree(
         if depth == 0:
             low = (sel & -sel).bit_length() - 1
             return ShatterTree.leaf(kept[low])
-        for e in range(n):
-            inside = sel & cols[e]
-            outside = sel & ~cols[e]
+        for e, col in enumerate(cols):
+            inside, outside = sel & col, sel & ~col
             if ok(inside, depth - 1) and ok(outside, depth - 1):
                 return ShatterTree.node(e, build(inside, depth - 1), build(outside, depth - 1))
         raise AssertionError  # pragma: no cover

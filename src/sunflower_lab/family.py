@@ -48,9 +48,11 @@ def member_of(mask: int) -> Member:
     return tuple(out)
 
 
-def columns_of(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    """For each ground element below ``n``, the bitmask of the masks containing it."""
-    cols = [0] * n
+def columns_of(masks: Sequence[int]) -> tuple[int, ...]:
+    """For each element up to the highest one any mask holds, the bitmask of
+    the masks containing it: the table's length follows what the masks hold,
+    never a declared ground size."""
+    cols = [0] * max(masks, default=0).bit_length()
     for i, mask in enumerate(masks):
         bit = 1 << i
         for e in member_of(mask):
@@ -117,8 +119,9 @@ class SetFamily:
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
-        """For each ground element, the bitmask of members containing it."""
-        return columns_of(self.masks, self.ground_size)
+        """For each element up to the highest one a member holds, the bitmask
+        of members containing it; the elements above it have empty columns."""
+        return columns_of(self.masks)
 
     def member_sizes(self) -> tuple[int, ...]:
         return tuple(len(mem) for mem in self.members)
@@ -585,8 +588,6 @@ def lambda_number(
     if cap < 1:
         raise ParameterError("lambda cap must be >= 1")
     m = family.m
-    if m == 0:
-        return LambdaResult(0, (), cap, False)  # family.columns would span the ground
     extensions = partial(_pair_witness_extensions, family.masks, family.columns)
     best = _least_largest(m, extensions, Budget(budget), most=min(cap, m))
     cap_hit = len(best) == cap and cap < m
@@ -640,14 +641,14 @@ def dual_family(family: SetFamily) -> SetFamily:
 
 
 def element_frequencies(family: SetFamily) -> FrequencyProfile:
-    """Exact per-element membership fractions."""
+    """Exact per-element membership fractions, one per declared ground
+    element: those no member holds count zero."""
     if family.m == 0:
         raise EmptyFamilyError("element_frequencies needs a nonempty family")
     m = family.m
-    fractions = []
-    for e in range(family.ground_size):
-        cnt = family.columns[e].bit_count()
-        fractions.append(Fraction(cnt, m))
+    cols = family.columns
+    fractions = [Fraction(col.bit_count(), m) for col in cols]
+    fractions += [Fraction(0)] * (family.ground_size - len(cols))
     return FrequencyProfile(tuple(fractions), m)
 
 

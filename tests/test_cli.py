@@ -227,6 +227,20 @@ class TestAnalyze:
             _analyze_file(str(f), 3, 8, None)
             assert calls == {**dict.fromkeys(names, 1), "find_sunflower": sunflower_calls}
 
+    def test_declared_ground_costs_nothing(self, tmp_path):
+        # members over [3] declared over a ground of 30,000,000: every answer
+        # and the column table follow what the members hold
+        results = []
+        for n in (3, 30_000_000):
+            f = tmp_path / f"g{n}.setfam"
+            f.write_text(f"setfam 1 {n} 2\n2: 0 1\n2: 1 2\n", encoding="ascii")
+            family = read_setfam(f)
+            assert len(family.columns) == 3
+            res = _analyze_file(str(f), 3, 8, None)
+            assert (res.pop("file"), res["family"].pop("n")) == (f.name, n)
+            results.append(res)
+        assert results[0] == results[1]
+
 
 class TestAlphaCommand:
     def test_exact(self, capsys, tmp_path):
@@ -388,6 +402,15 @@ class TestExtremalCommand:
             "(k-1)*f+1": False,
             "(r-1)*(f-1)+1": True,
         }
+
+    def test_ground_cap_below_k_refused(self, capsys):
+        # no k-set fits under the cap: refused before any node is searched
+        code, out, err = run_cli(
+            capsys, "extremal", "family", "--r", "3", "--k", "2", "--ground-cap", "-5"
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "invalid input: extremal_search requires ground_cap >= k = 2, got -5\n"
 
     def test_json_reports_check_nodes(self, capsys):
         code, stdout, _ = run_cli(capsys, "extremal", "family", "--r", "3", "--k", "2", "--json")

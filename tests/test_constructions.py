@@ -253,6 +253,12 @@ class TestExtremalSearch:
         with pytest.raises(ParameterError):
             extremal_search("ls_bounded", 3, 1)
 
+    @pytest.mark.parametrize("cap", [-5, 0, 1])
+    def test_rejects_ground_cap_below_k(self, cap):
+        with pytest.raises(ParameterError, match=rf"ground_cap >= k = 2, got {cap}"):
+            extremal_search("family", 3, 2, ground_cap=cap)
+        assert extremal_search("family", 3, 2, ground_cap=2).exact_value == 2
+
     def test_witness_invariants(self):
         res = extremal_search("ls_bounded", 3, 2, d=1)
         assert res.witness.m == res.exact_value - 1

@@ -18,6 +18,7 @@ from sunflower_lab import (
     ParameterError,
     SetFamily,
     Sunflower,
+    SunflowerLabError,
     TransversalResult,
     canonicalize,
     count_sunflower_tuples,
@@ -26,6 +27,8 @@ from sunflower_lab import (
     find_sunflower,
     is_sunflower,
     lambda_number,
+    ls_dimension,
+    ls_dimension_tree,
     packing_number,
     popular_element,
     random_lowerbound_family,
@@ -408,7 +411,9 @@ class TestLambda:
         assert lambda_number(fam).value == 1
 
     def test_empty_family(self):
-        assert lambda_number(SetFamily(1, ())).value == 0
+        # the walk itself answers an empty family, whatever the declared ground
+        for n in (0, 1, 3_000_000):
+            assert lambda_number(SetFamily(n, ()), cap=4) == LambdaResult(0, (), 4, False)
 
     def test_cap_reporting(self):
         fam = SetFamily.from_sets(3, [[0, 1], [1, 2], [0, 2]])
@@ -536,6 +541,10 @@ class TestFrequencies:
                 best = max(fractions)
                 assert popular_element(fam) == (fractions.index(best), best)
 
+    def test_unheld_elements_count_zero(self):
+        prof = element_frequencies(SetFamily(4, ((0,), (0, 1))))
+        assert prof.fractions == (1, Fraction(1, 2), 0, 0)
+
     def test_popular_ignores_ground_size(self):
         assert popular_element(SetFamily(3_000_000, ((0, 1), (1, 2)))) == (1, Fraction(1))
 
@@ -575,3 +584,36 @@ class TestCrossInvariants:
             assert lambda_number(out, cap=6).value == lambda_number(fam, cap=6).value
             if fam.m and all(fam.members):
                 assert transversal_number(out).value == transversal_number(fam).value
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SunflowerLabError as exc:
+        return type(exc)
+
+
+class TestDeclaredGround:
+    def test_unheld_elements_change_nothing(self, small_corpus):
+        # declaring 50 elements that no member holds changes no answer; only
+        # the frequency profile grows, by 50 zeros
+        for fam in small_corpus:
+            wide = SetFamily(fam.ground_size + 50, fam.members, fam.multifamily)
+            assert len(wide.columns) == len(fam.columns) <= fam.ground_size
+            ls, _ = ls_dimension(fam)
+            for fn, *args in (
+                (lambda_number,),
+                (vc_dimension,),
+                (ls_dimension,),
+                (ls_dimension_tree, ls),
+                (ls_dimension_tree, ls + 1),
+                (packing_number,),
+                (transversal_number,),
+                (find_sunflower, 3),
+                (dual_family,),
+                (popular_element,),
+            ):
+                assert _outcome(fn, wide, *args) == _outcome(fn, fam, *args)
+            if fam.m:
+                want = element_frequencies(fam).fractions + (0,) * 50
+                assert element_frequencies(wide).fractions == want

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunflower_lab import Disk, Halfspace3, ParseError, Scene2, Scene3, SetFamily, point2, point3
 from sunflower_lab.fileio import (
@@ -123,3 +125,56 @@ class TestSceneFormat:
             loads_scene("scene2 1 1\np 0 0\nh 1 0 0 0\n")
         with pytest.raises(ParseError):
             loads_scene("scene3 1 1\np 0 0 0\nd 0 0 1\n")
+
+
+# Token soups for the loaders: a valid text of either format with a few
+# tokens replaced, inserted or dropped, and lines dropped or duplicated.  The
+# tokens include the forms the formats refuse: signs, underscores, exponents,
+# zero denominators, non-ASCII digits and sizes past the ground's range.
+_VALID = [
+    "setfam 1 3 2\n2: 0 1\n1: 2\n",
+    "setfam 1 9 2 multi\n# note\n1: 8\n1: 8\n",
+    "setfam 1 0 1\n0:\n",
+    "scene2 1 2\np 0 0\np 1/2 -3\nd 0 0 1\n",
+    "scene3 1 1\np 1 2 3\nh 1 0 0 -1/2\n",
+]
+_TOKENS = ["setfam", "scene2", "scene3", "multi", "p", "d", "h", "#", ":", "0", "1", "2",
+           "0:", "1:", "2:", "-1", "+2", "1/2", "-3/4", "0/0", "1/0", "1_0", "1e3", "2.5",
+           "4294967296", "\u0667", "x", ""]
+
+
+@st.composite
+def _soups(draw):
+    lines = [line.split(" ") for line in draw(st.sampled_from(_VALID)).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        edit = draw(st.sampled_from(["replace", "insert", "drop", "drop line", "copy line"]))
+        if edit == "replace" and j < len(lines[i]):
+            lines[i][j] = draw(st.sampled_from(_TOKENS))
+        elif edit == "insert":
+            lines[i].insert(j, draw(st.sampled_from(_TOKENS)))
+        elif edit == "drop" and j < len(lines[i]):
+            del lines[i][j]
+        elif edit == "drop line" and len(lines) > 1:
+            del lines[i]
+        elif edit == "copy line":
+            lines.insert(i, list(lines[i]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(" ".join(line) + eol for line in lines)
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize(
+        "loads, dumps", [(loads_setfam, dumps_setfam), (loads_scene, dumps_scene)]
+    )
+    @settings(max_examples=400, deadline=None)
+    @given(text=_soups())
+    def test_raises_only_parse_error_and_round_trips(self, loads, dumps, text):
+        try:
+            parsed = loads(text)
+        except ParseError:
+            return
+        out = dumps(parsed)
+        assert loads(out) == parsed
+        assert dumps(loads(out)) == out
