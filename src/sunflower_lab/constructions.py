@@ -25,9 +25,10 @@ and it break together:
   and x's trace on S is new to F, since otherwise F + c shatters S; so the
   node lists once the sets on which x's trace is new and F + x shows every
   trace but one, and c fails when it shows a listed missing trace;
-* the Littlestone cap evaluates the whole family, on one solver along the
-  search path: its members are pushed on the way down and popped on
-  backtrack, so its memo of the path's subfamilies serves every test below.
+* F + c has Littlestone dimension d + 1 only if F has d and, at some
+  element, the side without c reaches d and the side with c reaches d with
+  c: only subfamilies of F are evaluated, on one solver whose memo serves
+  every candidate, its members pushed on the way down, popped on backtrack.
 
 The root's one candidate, the first k elements, is not tested: a family of
 one member meets every constraint.
@@ -324,6 +325,7 @@ def extremal_search(
         if members:  # a one-member family meets every constraint
             kept, candidates = [], kept
             last, old, x = members[-1], masks[:-1], masks[-1]
+            full = (1 << len(masks)) - 1
             closing = []
             if kind == "vc_bounded":
                 # a candidate c that shatters a new set shatters one below
@@ -341,12 +343,8 @@ def extremal_search(
                     continue
                 if any(cmask & s == trace for s, trace in closing):
                     continue
-                if kind == "ls_bounded":
-                    solver.push(cmask)
-                    over = solver.value((1 << (len(masks) + 1)) - 1) > d
-                    solver.pop()
-                    if over:
-                        continue
+                if kind == "ls_bounded" and solver.reaches(full, cmask, d + 1):
+                    continue
                 kept.append(cand)
         for i, cand in enumerate(kept):
             cmask = mask_of(cand)

@@ -232,6 +232,28 @@ class LittlestoneSolver:
             self._memo_size += 1
         return best
 
+    def reaches(self, sel: int, cmask: int, depth: int) -> bool:
+        """Whether the members selected by ``sel`` and ``cmask``, which none
+        of them equals, reach dimension ``depth``.  A member adds at most 1,
+        so unless ``value(sel)`` is ``depth - 1`` it settles the answer; else
+        an element's side without ``cmask`` must reach ``depth - 1`` and its
+        side with ``cmask`` recurse.  Nothing selecting ``cmask`` is memoized."""
+        if sel.bit_count() + 1 < 1 << depth:  # 2^depth distinct members needed
+            return False
+        if depth <= 1:  # two distinct members split somewhere
+            return True
+        v = self.value(sel)
+        if v != depth - 1:
+            return v >= depth
+        self._budget.spend()
+        for e, col in enumerate(self._cols):
+            side, rest = sel & col, sel & ~col
+            if not cmask >> e & 1:
+                side, rest = rest, side
+            if self.value(rest) >= depth - 1 and self.reaches(side, cmask, depth - 1):
+                return True
+        return False
+
     def witness(self, sel: int, depth: int, kept: Sequence[int]) -> ShatterTree:
         """A depth-``depth`` witness tree for the members selected by ``sel``:
         the least element whose two sides both reach ``depth - 1`` at each

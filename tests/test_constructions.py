@@ -284,12 +284,12 @@ EXTREMAL_SUITE = {
         ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2),
          (3, 4), (3, 4), (3, 5), (3, 5), (4, 5), (4, 5)),
     ),
-    ("ls_bounded", 3, 3, 1): (5, 90, 1688, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
-    ("ls_bounded", 4, 2, 1): (5, 20, 128, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
+    ("ls_bounded", 3, 3, 1): (5, 90, 978, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ("ls_bounded", 4, 2, 1): (5, 20, 82, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
     ("ls_bounded", 3, 4, 1): (
         6,
         636,
-        40453,
+        21354,
         12,
         ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
     ),
@@ -330,6 +330,26 @@ EXTREMAL_CAPPED = {
     ),
     ("vc_bounded", 3, 2, 0, None): (2, 2, 2, ((0, 1),)),
     ("ls_bounded", 3, 3, 0, None): (2, 2, 3, ((0, 1, 2),)),
+    # d >= 2: the LS cap's test recurses past the first split
+    ("ls_bounded", 3, 3, 2, 6): (
+        8,
+        2069,
+        6,
+        ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (1, 2, 4), (1, 3, 4), (2, 3, 4)),
+    ),
+    ("ls_bounded", 3, 3, 3, 6): (
+        11,
+        2211,
+        6,
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+         (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)),
+    ),
+    ("ls_bounded", 4, 2, 2, None): (
+        11,
+        4178,
+        12,
+        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)),
+    ),
 }
 
 

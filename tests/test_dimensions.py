@@ -3,6 +3,8 @@ import random
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sunflower_lab import (
     BudgetExceededError,
@@ -16,6 +18,7 @@ from sunflower_lab import (
     vc_dimension,
 )
 from sunflower_lab.dimensions import LittlestoneSolver
+from sunflower_lab.family import member_of
 from sunflower_lab.rng import Budget
 
 from oracles import brute_least_shattered, brute_vc, random_family, validate_shatter_tree
@@ -136,6 +139,42 @@ class TestLsDimension:
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 ls_dimension(fam, budget)
         assert ls_dimension(fam, least) == ls_dimension(fam)
+
+
+class TestReaches:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 31), st.integers(0, 63), st.integers(0, 4)),
+            max_size=30,
+        )
+    )
+    # {0}, {2}, {3} and {1}: c alone on its side of element 1
+    @example([(0, 1, 2, 2), (0, 4, 2, 2), (0, 8, 2, 2)])
+    # the square on {0, 1} reaches 2; with {0, 1} replaced by {2} it does
+    # not, which a memo entry left from the square would miss
+    @example([(0, 0, 8, 2), (0, 1, 8, 2), (0, 2, 8, 2), (0, 3, 8, 2), (1, 4, 8, 2)])
+    # depth 3, where the side with c must reach 2 with c, not only 1 alone
+    @example([(0, m, 1, 3) for m in (3, 5, 10, 11, 12, 13, 15)])
+    def test_matches_ls_of_family_plus_member(self, steps):
+        # one solver through random steps, each popping up to ``pops``
+        # members and pushing ``mask``, then asking whether the members and
+        # ``cmask`` reach ``depth``: ``cmask`` may hold element 5, which no
+        # member holds, and an entry left by a popped member would answer
+        # wrongly
+        solver = LittlestoneSolver(Budget(None))
+        masks: list[int] = []
+        for pops, mask, cmask, depth in steps:
+            for _ in range(min(pops, len(masks))):
+                solver.pop()
+                masks.pop()
+            if mask not in masks:
+                solver.push(mask)
+                masks.append(mask)
+            if cmask not in masks:
+                grown = SetFamily(6, tuple(member_of(mk) for mk in masks + [cmask]))
+                want = ls_dimension(grown)[0] >= depth
+                assert solver.reaches((1 << len(masks)) - 1, cmask, depth) == want
 
 
 class TestLsDimensionTree:
