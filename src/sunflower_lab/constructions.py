@@ -278,7 +278,7 @@ def extremal_search(
     ground_cap: Optional[int] = None,
     node_budget: Optional[int] = None,
 ) -> ExtremalResult:
-    """Exact extremal value by canonical-form backtracking, tiny scales only.
+    """Exact extremal value by normal-form backtracking, tiny scales only.
 
     Kinds: ``family`` (no constraint), ``multifamily`` (repeated members
     allowed), ``ls_bounded`` / ``vc_bounded`` (dimension at most ``d``).  The

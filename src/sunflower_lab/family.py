@@ -202,7 +202,7 @@ class LambdaResult:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
+# normal form
 
 
 def _canonical_pass(members: Sequence[Member]) -> list[Member]:
@@ -216,7 +216,8 @@ def _canonical_pass(members: Sequence[Member]) -> list[Member]:
 
 
 def canonicalize(family: SetFamily) -> SetFamily:
-    """Normal form: members sorted, elements relabeled by first appearance.
+    """Normal form: members sorted, elements relabeled by first appearance;
+    not a canonical form, as isomorphic families can map to different ones.
 
     Sorting and relabeling feed each other, so the pass is iterated to a
     fixed point (random testing shows a handful of passes at most).  If the
@@ -276,43 +277,48 @@ def _candidate_cores(values: Iterable[int]) -> list[int]:
 
 def _least_largest(
     total: int,
-    allowed: Callable[[tuple[int, ...]], int],
+    step: Callable[[object, int, int, int], tuple[object, int]],
+    root: object,
     budget: Budget,
     least: int = 1,
     most: int | None = None,
 ) -> tuple[int, ...]:
     """The lexicographically least largest set of positions ``0..total-1``
     with a hereditary property, between ``least`` and ``most`` positions;
-    ``()`` if no set reaches ``least``.  ``allowed(chosen)`` is the bitset of
-    the positions that may join ``chosen`` (a set with the property).
+    ``()`` if no set reaches ``least``.
 
-    Depth first on an explicit stack of nodes ``(chosen, cand)``, ``cand`` the
-    bitset of the untried later positions allowed to join ``chosen``, lowest
-    position first; a node opens (one ``budget.spend()``) only while its
+    Depth first on an explicit stack of nodes ``(chosen, state, cand)``,
+    ``cand`` the bitset of the untried later positions allowed to join
+    ``chosen``, lowest first, and ``state`` what the caller keeps about
+    ``chosen`` (``root`` for ``()``).  Child ``chosen + (t,)`` gets
+    ``step(state, t, cand, need)``: its state and the positions of ``cand``
+    (less t) that may join it, or 0 when a bound proves fewer than ``need``
+    can join together.  A node opens (one ``budget.spend()``) only while its
     candidates can reach the goal: ``least``, then one more than the best so
     far.  A set of ``most`` positions returns at once."""
     goal = least
     best: tuple[int, ...] = ()
-    stack = [((), (1 << total) - 1)]
+    stack = [((), root, (1 << total) - 1)]
     if total >= goal:
         budget.spend()
     while stack:
-        chosen, cand = stack[-1]
+        chosen, state, cand = stack[-1]
         if len(chosen) + cand.bit_count() < goal:
             stack.pop()
             continue
         t = (cand & -cand).bit_length() - 1
         cand ^= 1 << t
-        stack[-1] = (chosen, cand)
+        stack[-1] = (chosen, state, cand)
         child = chosen + (t,)
         if len(child) == goal:
             if goal == most:
                 return child
             best, goal = child, goal + 1
-        cand &= allowed(child)
-        if len(child) + cand.bit_count() >= goal:
+        need = goal - len(child)
+        state, cand = step(state, t, cand, need)
+        if cand.bit_count() >= need:
             budget.spend()
-            stack.append((child, cand))
+            stack.append((child, state, cand))
     return best
 
 
@@ -321,23 +327,22 @@ def _disjoint_subset(
 ) -> Optional[tuple[int, ...]]:
     """Positions of pairwise disjoint ``masks``: the lexicographically first
     ``size`` of them (``None`` if there are none), or, without ``size``, the
-    least largest such subset, found by :func:`_least_largest`."""
+    least largest such subset: :func:`_least_largest`, no state, no bound."""
     total = len(masks)
     apart: dict[int, int] = {}  # t: the positions above t whose masks miss masks[t]
 
-    def allowed(chosen: tuple[int, ...]) -> int:
-        t = chosen[-1]
+    def step(state: None, t: int, cand: int, need: int) -> tuple[None, int]:
         if t not in apart:
             mt, bits = masks[t], 0
             for j in range(t + 1, total):
                 if not masks[j] & mt:
                     bits |= 1 << j
             apart[t] = bits
-        return apart[t]
+        return None, cand & apart[t]
 
     if size is None:
-        return _least_largest(total, allowed, budget)
-    return _least_largest(total, allowed, budget, size, size) or None
+        return _least_largest(total, step, None, budget)
+    return _least_largest(total, step, None, budget, size, size) or None
 
 
 def _sunflower_core_search(
@@ -348,14 +353,29 @@ def _sunflower_core_search(
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact search for ``r`` of the given members with pairwise-equal intersections.
 
-    Per candidate core, the petals (members minus core) must be pairwise
-    disjoint; the first core that has ``r`` of them gives the witness
-    ``(core_mask, indices)``.  ``None`` if no core does.
+    Per candidate core, the members holding it (an AND of its columns) must
+    have ``r`` pairwise disjoint petals (members minus core); the first core
+    that does gives the witness ``(core_mask, indices)``, ``None`` if none.
+    A core is skipped before its petal walk when its members fall into
+    fewer than ``r`` stars, no two of whose members can both join: the
+    lowest member left and all holding its petal's lowest element (a member
+    equal to the core is a star of its own).
     """
+    cols = columns_of(masks)
+    pool = mask_of(indices)
     for core in _candidate_cores(masks[i] for i in indices):
-        eligible = [i for i in indices if masks[i] & core == core]
-        if len(eligible) < r:
+        held = pool
+        for e in member_of(core):
+            held &= cols[e]
+        rest, stars = held, 0
+        while rest and stars < r:
+            low = rest & -rest
+            petal = masks[low.bit_length() - 1] & ~core
+            rest &= ~cols[(petal & -petal).bit_length() - 1] if petal else ~low
+            stars += 1
+        if stars < r:
             continue
+        eligible = member_of(held)
         found = _disjoint_subset([masks[i] & ~core for i in eligible], budget, r)
         if found is not None:
             return core, tuple(eligible[t] for t in found)
@@ -370,10 +390,13 @@ def find_sunflower(
 ) -> Optional[Sunflower]:
     """Some ``r``-sunflower of ``family`` (distinct member indices), or ``None``.
 
-    The search is exact and complete.  With ``distinct_only`` the petals must
-    come from pairwise distinct sets; otherwise repeated identical members
-    (legal in a multifamily) are eligible, so ``r`` copies of one set form a
-    sunflower whose core is the set itself.
+    The search is exact and complete: each candidate core, least first, is
+    skipped when its members fall into fewer than ``r`` stars (checked once
+    per core, :func:`_sunflower_core_search`), else its petals are walked.
+    With ``distinct_only`` the petals must come from pairwise distinct sets;
+    otherwise repeated identical members (legal in a multifamily) are
+    eligible, so ``r`` copies of one set form a sunflower whose core is the
+    set itself.
 
     ``r=2`` is rejected: any two sets trivially form a 2-sunflower.
     """
@@ -579,51 +602,87 @@ def lambda_number(
     them, a witness element lying in exactly that pair (among the chosen l).
 
     The property is hereditary, so the search (:func:`_least_largest`)
-    extends only satisfying sets: each node takes, from the column bitmasks,
-    the bitset of the later members that keep the property
-    (:func:`_pair_witness_extensions`) and walks it in ascending order.
-    ``cap_hit`` reports that the cap was reached while more members were
-    available, in which case the value is a lower bound only.
+    extends only satisfying sets.  A node's state is ``(chosen, once, twice,
+    seen)``: the chosen members and the elements in exactly one, exactly
+    two and any of them.  A child's step (:func:`_pair_witness_step`)
+    applies to its parent's candidates only the constraints its newest
+    member adds, and prunes it by a chain-cover bound.  ``cap_hit`` reports
+    that the cap was reached while more members were available, in which
+    case the value is a lower bound only.
     """
     if cap < 1:
         raise ParameterError("lambda cap must be >= 1")
     m = family.m
-    extensions = partial(_pair_witness_extensions, family.masks, family.columns)
-    best = _least_largest(m, extensions, Budget(budget), most=min(cap, m))
+    step = partial(_pair_witness_step, family.masks, family.columns)
+    best = _least_largest(m, step, ((), 0, 0, 0), Budget(budget), most=min(cap, m))
     cap_hit = len(best) == cap and cap < m
     return LambdaResult(len(best), best, cap, cap_hit)
 
 
-def _pair_witness_extensions(
-    masks: Sequence[int], cols: Sequence[int], chosen: Sequence[int]
-) -> int:
-    """Bitset of the members l outside ``chosen`` such that ``chosen`` plus l
-    still has, for every pair, a witness element lying in that pair only;
-    ``chosen`` must have that property itself.
+def _pair_witness_step(
+    masks: Sequence[int],
+    cols: Sequence[int],
+    state: tuple[tuple[int, ...], int, int, int],
+    t: int,
+    cand: int,
+    need: int,
+) -> tuple[tuple[tuple[int, ...], int, int, int], int]:
+    """The state of ``chosen + (t,)`` and the members l of ``cand`` (each
+    keeping the property with ``chosen``) with which it still has, for every
+    pair, a witness element lying in that pair only.
 
-    l must meet each chosen x's own elements (those in no other chosen
-    member), and must not contain all the private elements of any chosen
-    pair (those in the pair's two members only): one OR, and one AND, of
-    element columns each."""
-    ext = (1 << len(masks)) - 1
-    once = twice = seen = 0
-    for i in chosen:
-        mk = masks[i]
-        ext &= ~(1 << i)
-        twice = (twice & ~mk) | (once & mk)
-        once = (once & ~mk) | (mk & ~seen)
-        seen |= mk
-    for a, x in enumerate(chosen):
-        meets = 0
-        for e in member_of(masks[x] & once):
-            meets |= cols[e]
-        ext &= meets
-        for y in chosen[a + 1:]:
-            covers = ext
-            for e in member_of(masks[x] & masks[y] & twice):
-                covers &= cols[e]
-            ext &= ~covers
-    return ext
+    l must meet each member x's own elements (in no other chosen member),
+    and must not contain all the private elements of any pair (in its two
+    members only): one OR, and one AND, of element columns each.  Only the
+    constraints that t changes are applied: t's own elements, the pairs
+    with t, and the own or private elements t took.
+
+    Two members whose shares ``masks[l] & own`` of one x's own elements are
+    nested cannot both join: the smaller leaves no witness for its pair
+    with x.  So when a greedy chain cover of some x's shares has fewer than
+    ``need`` chains, the candidates are 0."""
+    chosen, once, twice, seen = state
+    mt = masks[t]
+    once2 = (once & ~mt) | (mt & ~seen)
+    twice2 = (twice & ~mt) | (once & mt)
+    child = chosen + (t,)
+    for a, x in enumerate(child):
+        mx = masks[x]
+        if x == t or mx & mt & once:  # t's own elements, or those t took from x
+            meets = 0
+            for e in member_of(mx & once2):
+                meets |= cols[e]
+            cand &= meets
+        for y in child[a + 1:]:
+            my = masks[y]
+            if y == t or mx & my & mt & twice:  # a pair with t, or one t took from
+                covers = cand
+                for e in member_of(mx & my & twice2):
+                    covers &= cols[e]
+                cand &= ~covers
+    if need > 1 and cand.bit_count() >= need:
+        joiners = member_of(cand)
+        for x in child:
+            own = masks[x] & once2
+            if _chain_count({masks[l] & own for l in joiners}, need) < need:
+                return (child, once2, twice2, seen | mt), 0
+    return (child, once2, twice2, seen | mt), cand
+
+
+def _chain_count(shares: set[int], most: int) -> int:
+    """The chains, counted up to ``most``, of a greedy cover of ``shares``
+    by chains under inclusion, smallest first; it bounds every antichain."""
+    tops: list[int] = []
+    for share in sorted(shares, key=int.bit_count):
+        for i, top in enumerate(tops):
+            if not top & ~share:
+                tops[i] = share
+                break
+        else:
+            tops.append(share)
+            if len(tops) == most:
+                break
+    return len(tops)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +691,8 @@ def _pair_witness_extensions(
 
 def dual_family(family: SetFamily) -> SetFamily:
     """The dual family: one member per ground element, tracing which members
-    contain it; empty traces dropped, duplicates collapsed, canonical form."""
+    contain it; empty traces dropped, duplicates collapsed, in the normal
+    form of :func:`canonicalize` (not a canonical form)."""
     if family.multifamily:
         raise InvalidFamilyError("dual_family requires a plain family (no multifamily)")
     traces = dict.fromkeys(member_of(col) for col in family.columns if col)

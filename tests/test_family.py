@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -27,16 +28,18 @@ from sunflower_lab import (
     find_sunflower,
     is_sunflower,
     lambda_number,
+    ls1_family,
     ls_dimension,
     ls_dimension_tree,
     packing_number,
     popular_element,
+    product_family,
     random_lowerbound_family,
     transversal_number,
     tree_family,
     vc_dimension,
 )
-from sunflower_lab.family import _disjoint_subset, _pair_witness_extensions
+from sunflower_lab.family import _disjoint_subset, _pair_witness_step
 from sunflower_lab.rng import Budget
 
 from oracles import (
@@ -65,6 +68,27 @@ def families(draw, max_m=7, max_n=7, multifamily=None):
         )
     )
     return SetFamily(n, tuple(members), multi)
+
+
+def nested_families() -> list[SetFamily]:
+    """Small tree, product and LS-1 families, whose members' shares of one
+    another nest, so the star cover of the sunflower search and the chain
+    cover of lambda_number both prune; and multifamilies that hold a core
+    r times, each copy a star of its own."""
+    fams = [
+        tree_family(3, 3),
+        tree_family(3, 4),
+        tree_family(4, 3),
+        ls1_family(3, 4),
+        ls1_family(4, 3),
+        product_family(tree_family(3, 2), tree_family(3, 3)),
+        product_family(ls1_family(3, 2), ls1_family(3, 3)),
+    ]
+    for r in (3, 4):
+        for base in (tree_family(3, 3), ls1_family(3, 3)):
+            core = base.members[-1][:-1]
+            fams.append(SetFamily(base.ground_size, base.members + (core,) * r, True))
+    return fams
 
 
 class TestSetFamily:
@@ -167,7 +191,7 @@ class TestFindSunflower:
                 assert a.holds_in(fam)
 
     def test_matches_brute_force_on_corpus(self, small_corpus):
-        for fam in small_corpus:
+        for fam in small_corpus + nested_families():
             for r in (3, 4):
                 got = find_sunflower(fam, r)
                 want = brute_has_sunflower(fam, r)
@@ -185,14 +209,23 @@ class TestFindSunflower:
             assert (got is not None) == brute_has_sunflower(fam, 3, distinct_only=True)
 
     def test_budget_aborts_pinned(self):
-        # the search on tree_family(3, 5), which has no 3-sunflower, opens 31
-        # nodes in a fixed order: a smaller budget aborts at its (budget + 1)-th node
-        fam = tree_family(3, 5)
+        # the unions of one edge from each of two disjoint 5-cycles have no
+        # 3-sunflower, but their empty core survives the star cover: its
+        # petal walk opens 31 nodes in a fixed order, so a smaller budget
+        # aborts at its (budget + 1)-th node
+        cycle = SetFamily.from_sets(5, [(i, (i + 1) % 5) for i in range(5)])
+        fam = product_family(cycle, cycle)
         for budget in (1, 10, 30):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 find_sunflower(fam, 3, budget=budget)
         for budget in (31, 1000):
             assert find_sunflower(fam, 3, budget=budget) is None
+
+    def test_star_cover_skips_every_tree_core(self):
+        # a tree family's members holding a core fall into at most 2 stars,
+        # one per child of the core's last vertex, so no petal walk opens
+        for k in (5, 12):
+            assert find_sunflower(tree_family(3, k), 3, budget=0) is None
 
 
 class TestCountTuples:
@@ -421,7 +454,7 @@ class TestLambda:
         assert res.value == 2 and res.cap_hit and not res.exact
 
     def test_matches_brute_force(self, small_corpus):
-        for fam in small_corpus:
+        for fam in small_corpus + nested_families():
             res = lambda_number(fam, cap=10)
             if not res.cap_hit:
                 assert res.value == brute_lambda(fam)
@@ -435,12 +468,17 @@ class TestLambda:
                 res = lambda_number(fam, cap=cap)
                 assert res.witness == brute_first_lambda(fam, cap)
                 assert res.value == len(res.witness)
+        for fam in nested_families():
+            for cap in (2, 3, 4):
+                assert lambda_number(fam, cap=cap).witness == brute_first_lambda(fam, cap)
 
     @settings(max_examples=200, deadline=None)
     @given(families(max_m=9, max_n=6), st.data())
     def test_extension_bitset_is_the_pair_witness_check(self, fam, data):
-        # grow a random set with the property, then compare the bitset with
-        # the definition, checked member by member
+        # grow a random set with the property, folding the step from the root
+        # state along it, and compare its bitset with the definition, checked
+        # member by member; asked for ``need`` more members, the step may
+        # answer 0 only when no ``need`` of them can join together
         def has_property(idx):
             for a, b in combinations(idx, 2):
                 others = 0
@@ -451,24 +489,42 @@ class TestLambda:
                     return False
             return True
 
+        step = partial(_pair_witness_step, fam.masks, fam.columns)
+        state, cand = ((), 0, 0, 0), (1 << fam.m) - 1
         chosen: list[int] = []
         while True:
-            ext = _pair_witness_extensions(fam.masks, fam.columns, chosen)
             literal = [i for i in range(fam.m) if i not in chosen and has_property(chosen + [i])]
-            assert ext == sum(1 << i for i in literal)
+            assert cand == sum(1 << i for i in literal)
             if not literal:
                 break
-            chosen.append(data.draw(st.sampled_from(literal)))
+            t = data.draw(st.sampled_from(literal))
+            chosen.append(t)
+            parent, cand = state, cand & ~(1 << t)
+            need = data.draw(st.integers(2, 4))
+            _, bounded = step(parent, t, cand, need)
+            state, cand = step(parent, t, cand, 1)
+            assert state[0] == tuple(chosen)
+            if bounded != cand:
+                assert bounded == 0
+                joiners = [i for i in range(fam.m) if cand >> i & 1]
+                assert not any(has_property(chosen + list(c)) for c in combinations(joiners, need))
 
     def test_budget_aborts_pinned(self):
-        # the search on tree_family(3, 6) visits 31 nodes in a fixed order:
-        # a smaller budget aborts at its (budget + 1)-th node
+        # the search on tree_family(3, 6) opens 2 nodes in a fixed order, the
+        # root and member 0: a smaller budget aborts at its (budget + 1)-th node
         fam = tree_family(3, 6)
-        for budget in (1, 10, 30):
+        for budget in (0, 1):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 lambda_number(fam, budget=budget)
-        for budget in (31, 1000):
+        for budget in (2, 1000):
             assert lambda_number(fam, budget=budget) == LambdaResult(2, (0, 1), 8, False)
+
+    def test_chain_cover_prunes_tree_family(self):
+        # on the 512 paths of tree_family(3, 10) a member's shares of the
+        # others are prefixes of its path, one chain, so no member other than
+        # 0 opens, and member 0 grows only to the pair (0, 1)
+        res = lambda_number(tree_family(3, 10), cap=3, budget=2)
+        assert res == LambdaResult(2, (0, 1), 3, False)
 
     def test_deep_lambda_needs_no_deep_recursion(self):
         # member i holds the pairs of [60] that contain i, so any two members
