@@ -436,6 +436,8 @@ _KIND_ALIASES = {
 def cmd_extremal(ns: argparse.Namespace) -> int:
     _check_node_budget(ns)
     kind = _KIND_ALIASES[ns.kind]
+    if ns.identity_report and kind != "multifamily":
+        raise ParameterError(f"--identity-report applies only to multifamily, not {ns.kind}")
     result = extremal_search(
         kind, ns.r, ns.k, d=ns.d, ground_cap=ns.ground_cap, node_budget=ns.node_budget
     )
@@ -457,13 +459,8 @@ def cmd_extremal(ns: argparse.Namespace) -> int:
         },
         "notes": list(result.notes),
     }
-    if kind == "multifamily" and ns.identity_report:
-        # the report's f and g are uncapped, so a capped search's result
-        # cannot stand in for g
-        reuse = result if ns.ground_cap is None else None
-        payload["identity_report"] = multifamily_identity_report(
-            ns.r, ns.k, node_budget=ns.node_budget, multifamily=reuse
-        )
+    if ns.identity_report:
+        payload["identity_report"] = multifamily_identity_report(ns.r, ns.k, ns.node_budget)
     if ns.json:
         sys.stdout.write(_dump_json(payload))
     else:

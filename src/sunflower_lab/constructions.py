@@ -32,12 +32,19 @@ and it break together:
 
 The root's one candidate, the first k elements, is not tested: a family of
 one member meets every constraint.
+
+Multifamilies reduce to families.  An r-sunflower holding two copies of a
+k-set S has core S, so each of its other members contains S and, being a
+k-set, equals S.  So a multifamily of k-sets is sunflower-free exactly when
+its distinct members are and no set appears r times: g = (r - 1)(f - 1) + 1,
+and the family witness with each member repeated r - 1 times is the least
+multifamily witness (repeating adds no element and keeps the order).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -253,7 +260,8 @@ class ExtremalResult:
     under the kind's constraint contains an r-sunflower; ``witness`` is a
     largest sunflower-free family found (of size ``exact_value - 1`` when the
     search completed).  ``exact=False`` flags a budget abort, in which case
-    ``exact_value`` is only a lower bound.
+    ``exact_value`` is only a lower bound.  A ``multifamily`` result is
+    derived from a ``family`` search, whose ``nodes`` and ``check_nodes`` it has.
     """
 
     kind: str
@@ -280,11 +288,12 @@ def extremal_search(
 ) -> ExtremalResult:
     """Exact extremal value by normal-form backtracking, tiny scales only.
 
-    Kinds: ``family`` (no constraint), ``multifamily`` (repeated members
-    allowed), ``ls_bounded`` / ``vc_bounded`` (dimension at most ``d``).  The
-    first-appearance normal form bounds the ground set by m*k automatically;
-    ``ground_cap`` may tighten it further.  On budget exhaustion the best
-    bound found so far is returned flagged inexact.
+    Kinds: ``family`` (no constraint), ``multifamily`` (repeats allowed; the
+    ``family`` search under the same cap and budget, derived as the module
+    docstring shows), ``ls_bounded`` / ``vc_bounded`` (dimension at most
+    ``d``, which no other kind takes).  The first-appearance normal form
+    bounds the ground set by m*k; ``ground_cap`` may tighten it.  On budget
+    exhaustion the best bound found so far is returned flagged inexact.
     """
     if kind not in EXTREMAL_KINDS:
         raise ParameterError(f"unknown extremal kind {kind!r}")
@@ -297,17 +306,21 @@ def extremal_search(
     if kind in ("ls_bounded", "vc_bounded"):
         if d is None or d < 0:
             raise ParameterError(f"kind {kind!r} requires d >= 0")
-    else:
-        d = None
+    elif d is not None:
+        raise ParameterError(f"kind {kind!r} takes no d, got {d}")
+    if kind == "multifamily":
+        res = extremal_search("family", r, k, ground_cap=ground_cap, node_budget=node_budget)
+        members = tuple(mem for mem in res.witness.members for _ in range(r - 1))
+        witness = SetFamily(res.witness.ground_size, members, True)
+        g = (r - 1) * (res.exact_value - 1) + 1
+        return replace(res, kind=kind, exact_value=g, witness=witness)
 
-    allow_duplicates = kind == "multifamily"
     budget = Budget(node_budget)
     # the per-candidate checks count their own nodes, apart from ``nodes``
     checks = Budget(None)
     solver = LittlestoneSolver(checks)
     aborted = False
     best: list[Member] = []
-    best_ground = 0
     max_ground_used = 0
 
     def extend(
@@ -315,11 +328,10 @@ def extremal_search(
     ) -> None:
         # ``passed``: the candidates that passed at the parent, whose ground
         # was ``above``, from the newest member on
-        nonlocal best, best_ground, max_ground_used
+        nonlocal best, max_ground_used
         budget.spend()
         if len(members) > len(best):
             best = members.copy()
-            best_ground = used
         max_ground_used = max(max_ground_used, used)
         kept = _relabellings(passed, above, used, k, ground_cap)
         if members:  # a one-member family meets every constraint
@@ -335,8 +347,8 @@ def extremal_search(
                 closing = _closing_traces(old, x, d, used)
             for cand in candidates:
                 # a relabelled candidate sorts at or after ``last``, whose
-                # relabelling is itself
-                if cand == last and not allow_duplicates:
+                # relabelling is itself and which a family holds once
+                if cand == last:
                     continue
                 cmask = mask_of(cand)
                 if _sunflower_with(old, x, cmask, r, checks):
@@ -365,10 +377,8 @@ def extremal_search(
     # returns rather than at some later cyclic garbage collection
     del extend
 
-    witness = SetFamily(best_ground, tuple(best), allow_duplicates)
-    notes = []
-    if aborted:
-        notes.append("node budget exhausted; exact_value is a lower bound")
+    witness = SetFamily(max((mem[-1] + 1 for mem in best), default=0), tuple(best))
+    notes = ("node budget exhausted; exact_value is a lower bound",) if aborted else ()
     return ExtremalResult(
         kind=kind,
         r=r,
@@ -381,7 +391,7 @@ def extremal_search(
         check_nodes=checks.used,
         ground_cap=ground_cap,
         max_ground_used=max_ground_used,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -445,22 +455,14 @@ def _relabellings(
     return out
 
 
-def multifamily_identity_report(
-    r: int,
-    k: int,
-    node_budget: Optional[int] = None,
-    multifamily: Optional[ExtremalResult] = None,
-) -> dict:
-    """Measure which closed form ties the multifamily threshold to the plain one.
+def multifamily_identity_report(r: int, k: int, node_budget: Optional[int] = None) -> dict:
+    """Evaluate which closed form ties the multifamily threshold to the plain one.
 
-    Computes f (plain) and g (multifamily) exactly at (r, k) and evaluates the
-    three candidate identities; nothing is hard-coded.  ``multifamily``, the
-    result of that same multifamily search, is used for g instead of a
-    second search.
+    One uncapped ``family`` search gives f and ``exact``; g = (r - 1)(f - 1) + 1
+    follows as the module docstring shows.
     """
-    f_res = extremal_search("family", r, k, node_budget=node_budget)
-    g_res = multifamily or extremal_search("multifamily", r, k, node_budget=node_budget)
-    f, g = f_res.exact_value, g_res.exact_value
+    res = extremal_search("family", r, k, node_budget=node_budget)
+    f, g = res.exact_value, (r - 1) * (res.exact_value - 1) + 1
     candidates = {
         "(r-1)*f+1": (r - 1) * f + 1,
         "(k-1)*f+1": (k - 1) * f + 1,
@@ -471,7 +473,7 @@ def multifamily_identity_report(
         "k": k,
         "f": f,
         "g": g,
-        "exact": f_res.exact and g_res.exact,
+        "exact": res.exact,
         "identities": {name: value == g for name, value in candidates.items()},
         "candidate_values": candidates,
     }

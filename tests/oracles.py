@@ -174,6 +174,39 @@ def brute_least_shattered(family: SetFamily) -> tuple[int, ...]:
     raise AssertionError("the empty set is always shattered")
 
 
+def brute_extremal_multifamily(r: int, k: int, ground_cap: int | None = None):
+    """``(value, witness members, witness ground)`` of the largest multifamily
+    of k-sets with no r-sunflower, by enumerating every non-decreasing
+    sequence of k-sets in first-appearance normal form (elements below
+    ``ground_cap``), repeats allowed, each tested whole with
+    ``brute_has_sunflower``.  Sunflower-freeness is hereditary, so only
+    sunflower-free sequences are extended; the witness is the
+    lexicographically least longest sequence.  Nothing assumes how many
+    copies of a set a sunflower-free multifamily can hold: r copies form a
+    sunflower, which ends every sequence."""
+    best: tuple = ()
+
+    def grow(seq: tuple, used: int) -> None:
+        nonlocal best
+        if len(seq) > len(best) or (len(seq) == len(best) and seq < best):
+            best = seq
+        top = used + k if ground_cap is None else min(used + k, ground_cap)
+        for cand in combinations(range(top), k):
+            fresh = [e for e in cand if e >= used]
+            if fresh != list(range(used, used + len(fresh))):
+                continue
+            if seq and cand < seq[-1]:
+                continue
+            ground = max(used, cand[-1] + 1)
+            trial = seq + (cand,)
+            if not brute_has_sunflower(SetFamily(ground, trial, True), r):
+                grow(trial, ground)
+
+    grow((), 0)
+    ground = 1 + max((e for mem in best for e in mem), default=-1)
+    return len(best) + 1, best, ground
+
+
 def validate_shatter_tree(family: SetFamily, tree: ShatterTree, depth: int) -> None:
     """Walk a witness tree checking uniform depth and trace consistency."""
 

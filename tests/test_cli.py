@@ -394,7 +394,7 @@ class TestExtremalCommand:
         )
         assert code == EXIT_OK
         doc = json.loads(stdout)
-        assert (doc["exact_value"], doc["nodes"]) == (9, 63)
+        assert (doc["exact_value"], doc["nodes"]) == (9, 10)
         rep = doc["identity_report"]
         assert (rep["f"], rep["g"], rep["exact"]) == (7, 13, True)
         assert rep["identities"] == {
@@ -402,6 +402,29 @@ class TestExtremalCommand:
             "(k-1)*f+1": False,
             "(r-1)*(f-1)+1": True,
         }
+
+    def test_identity_report_refused_for_other_kinds(self, capsys):
+        code, out, err = run_cli(
+            capsys, "extremal", "family", "--r", "3", "--k", "1", "--identity-report"
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "invalid input: --identity-report applies only to multifamily, not family\n"
+
+    def test_d_refused_for_family(self, capsys):
+        code, out, err = run_cli(capsys, "extremal", "family", "--r", "3", "--k", "2", "--d", "5")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "invalid input: kind 'family' takes no d, got 5\n"
+
+    def test_multifamily_budget_exit(self, capsys):
+        # the family search's lower bound 8 gives g >= 3 * (8 - 1) + 1
+        code, stdout, _ = run_cli(
+            capsys, "extremal", "multifamily", "--r", "4", "--k", "2", "--node-budget", "8", "--json"
+        )
+        assert code == EXIT_BUDGET
+        doc = json.loads(stdout)
+        assert (doc["exact"], doc["exact_value"], doc["witness"]["m"]) == (False, 22, 21)
 
     def test_ground_cap_below_k_refused(self, capsys):
         # no k-set fits under the cap: refused before any node is searched

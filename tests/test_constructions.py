@@ -29,6 +29,8 @@ from sunflower_lab.family import (
 )
 from sunflower_lab.rng import Budget
 
+from oracles import brute_extremal_multifamily
+
 
 class TestTreeFamily:
     def test_small_shape(self):
@@ -230,12 +232,6 @@ class TestExtremalSearch:
         assert rep["f"] == 4 and rep["g"] == 10
         assert rep["identities"]["(r-1)*(f-1)+1"] is True
 
-    def test_identity_report_reuses_multifamily_result(self):
-        g_res = extremal_search("multifamily", 3, 2)
-        assert multifamily_identity_report(3, 2, multifamily=g_res) == (
-            multifamily_identity_report(3, 2)
-        )
-
     def test_vc_bounded_singletons(self):
         res = extremal_search("vc_bounded", 3, 1, d=1)
         assert res.exact_value == 3
@@ -252,6 +248,25 @@ class TestExtremalSearch:
     def test_requires_d_for_bounded_kinds(self):
         with pytest.raises(ParameterError):
             extremal_search("ls_bounded", 3, 1)
+
+    @pytest.mark.parametrize("kind", ["family", "multifamily"])
+    def test_rejects_d_for_unbounded_kinds(self, kind):
+        with pytest.raises(ParameterError, match=rf"kind '{kind}' takes no d, got 5"):
+            extremal_search(kind, 3, 2, d=5)
+
+    @pytest.mark.parametrize(
+        "r, k, cap",
+        [(3, 1, None), (4, 1, None), (5, 1, None), (3, 2, None),
+         (3, 2, 4), (3, 2, 5), (3, 3, 4), (3, 3, 5), (4, 2, 4)],
+    )
+    def test_multifamily_matches_brute_force(self, r, k, cap):
+        # the reduction to the family search against a direct enumeration of
+        # multifamilies, repeats allowed
+        value, members, ground = brute_extremal_multifamily(r, k, cap)
+        res = extremal_search("multifamily", r, k, ground_cap=cap)
+        assert res.exact and res.witness.multifamily
+        assert (res.exact_value, res.witness.members) == (value, members)
+        assert res.witness.ground_size == ground
 
     @pytest.mark.parametrize("cap", [-5, 0, 1])
     def test_rejects_ground_cap_below_k(self, cap):
@@ -278,8 +293,8 @@ EXTREMAL_SUITE = {
     ),
     ("multifamily", 3, 2, None): (
         13,
-        479,
-        457,
+        30,
+        33,
         6,
         ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2),
          (3, 4), (3, 4), (3, 5), (3, 5), (4, 5), (4, 5)),
@@ -353,6 +368,20 @@ EXTREMAL_CAPPED = {
 }
 
 
+def _repeated(members, times):
+    return tuple(mem for mem in members for _ in range(times))
+
+
+# a multifamily runs the family search: the same nodes, and g = 3(f - 1) + 1
+# at r = 4 with the family witness's members each repeated 3 times
+EXTREMAL_CAPPED[("multifamily", 4, 2, None, None)] = (
+    31, 4178, 12, _repeated(EXTREMAL_SUITE[("family", 4, 2, None)][-1], 3)
+)
+EXTREMAL_CAPPED[("multifamily", 4, 2, None, 6)] = (
+    28, 424, 6, _repeated(EXTREMAL_CAPPED[("family", 4, 2, None, 6)][-1], 3)
+)
+
+
 class TestExtremalPinned:
     """Value, node count and witness of each search stay fixed: a change to
     the per-node checks must keep every pruning decision."""
@@ -390,6 +419,17 @@ class TestExtremalPinned:
         assert not res.exact
         assert (res.exact_value, res.nodes, res.max_ground_used) == (value, budget + 1, ground)
         assert res.witness.members == EXTREMAL_SUITE[(kind, r, k, 1)][-1]
+
+    def test_multifamily_budget_abort_point(self):
+        # the family search stops with 7 members, so f >= 8 and
+        # g >= 3 * (8 - 1) + 1
+        res = extremal_search("multifamily", 4, 2, node_budget=8)
+        assert not res.exact
+        assert "lower bound" in " ".join(res.notes)
+        assert (res.exact_value, res.nodes, res.max_ground_used) == (22, 9, 6)
+        family = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5))
+        assert res.witness.members == _repeated(family, 3)
+        assert res.witness.ground_size == 6
 
 
 def _sunflower_through(masks, cand, r, budget):
