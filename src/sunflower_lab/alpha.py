@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Callable, Optional
 
 from .dimensions import ShatterTree, ls_dimension, sauer_shelah_capacity, vc_dimension
@@ -51,14 +50,13 @@ BOUND_BIT_CAP = 1 << 16
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Exact and/or sampled value of the pairwise-equal-intersection probability."""
+    """Sampled value of the pairwise-equal-intersection probability."""
 
     r: int
     m: int
-    exact: Optional[Fraction] = None
-    estimate: Optional[float] = None
-    trials: Optional[int] = None
-    seed: Optional[int] = None
+    estimate: float
+    trials: int
+    seed: int
 
 
 def alpha_exact(family: SetFamily, r: int, budget: int | None = None) -> Fraction:
@@ -367,9 +365,6 @@ class InequalityReport:
     def failed(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if c.status == "fail")
 
-    def skipped(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.status == "skip")
-
 
 def check_inequalities(
     family: SetFamily,
@@ -457,7 +452,7 @@ class FamilyAnalysis:
 
         distinct, _ = family.distinct()
         md = distinct.m
-        n_active = reduce(or_, family.masks, 0).bit_count()
+        n_active = len(distinct.columns)  # the elements some member holds
 
         vc, _ = self.vc
         ls, _ = self.ls

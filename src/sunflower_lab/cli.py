@@ -460,7 +460,10 @@ def cmd_extremal(ns: argparse.Namespace) -> int:
         "notes": list(result.notes),
     }
     if ns.identity_report:
-        payload["identity_report"] = multifamily_identity_report(ns.r, ns.k, ns.node_budget)
+        uncapped = result
+        if ns.ground_cap is not None:  # the report reads an uncapped search
+            uncapped = extremal_search(kind, ns.r, ns.k, node_budget=ns.node_budget)
+        payload["identity_report"] = multifamily_identity_report(uncapped)
     if ns.json:
         sys.stdout.write(_dump_json(payload))
     else:

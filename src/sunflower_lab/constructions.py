@@ -413,11 +413,9 @@ def _closing_traces(masks: Sequence[int], x: int, d: int, n: int) -> list[tuple[
     if len(masks) + 2 < 1 << size:
         return []  # too few members, with x and one more, for 2^(d+1) traces
     full = (1 << len(masks)) - 1
-    # per element, the masks that agree with x on it; the elements below n
-    # that no mask holds have empty columns
+    # per element, the masks that agree with x on it
     cols = columns_of(masks)
-    cols += (0,) * (n - len(cols))
-    agree = [col if x >> e & 1 else full ^ col for e, col in enumerate(cols)]
+    agree = [cols.get(e, 0) ^ (0 if x >> e & 1 else full) for e in range(n)]
     out = []
     for s in combinations(range(n), size):
         same = full  # masks whose trace on s is x's
@@ -455,14 +453,17 @@ def _relabellings(
     return out
 
 
-def multifamily_identity_report(r: int, k: int, node_budget: Optional[int] = None) -> dict:
+def multifamily_identity_report(result: ExtremalResult) -> dict:
     """Evaluate which closed form ties the multifamily threshold to the plain one.
 
-    One uncapped ``family`` search gives f and ``exact``; g = (r - 1)(f - 1) + 1
-    follows as the module docstring shows.
+    ``result`` is an uncapped ``multifamily`` result: its g was derived from
+    the f of a family search as g = (r - 1)(f - 1) + 1, the module docstring
+    shows why, so f is read back from g and ``exact`` is that search's.
     """
-    res = extremal_search("family", r, k, node_budget=node_budget)
-    f, g = res.exact_value, (r - 1) * (res.exact_value - 1) + 1
+    if result.kind != "multifamily" or result.ground_cap is not None:
+        raise ParameterError("the identity report needs an uncapped multifamily result")
+    r, k, g = result.r, result.k, result.exact_value
+    f = (g - 1) // (r - 1) + 1
     candidates = {
         "(r-1)*f+1": (r - 1) * f + 1,
         "(k-1)*f+1": (k - 1) * f + 1,
@@ -473,7 +474,7 @@ def multifamily_identity_report(r: int, k: int, node_budget: Optional[int] = Non
         "k": k,
         "f": f,
         "g": g,
-        "exact": res.exact,
+        "exact": result.exact,
         "identities": {name: value == g for name, value in candidates.items()},
         "candidate_values": candidates,
     }

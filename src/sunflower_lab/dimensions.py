@@ -10,7 +10,7 @@ tree directly from the tree semantics and serves as the unpruned cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
 from .family import SetFamily, columns_of, member_of
@@ -56,13 +56,19 @@ class ShatterTree:
 # VC dimension
 
 
-def _vc_from_masks(masks: Sequence[int], budget: Budget) -> tuple[int, tuple[int, ...]]:
+def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """Exact VC dimension with the lexicographically least shattered witness.
+
+    Duplicate members never change shattering and are collapsed first.  The
+    empty family reports 0 by convention.
+    """
+    distinct, _ = family.distinct()
+    masks, cols, b = distinct.masks, distinct.columns, Budget(budget)
     md = len(masks)
     full = (1 << md) - 1
-    cols = columns_of(masks)
 
     def shattered(elems: tuple[int, ...]) -> bool:
-        budget.spend()
+        b.spend()
         parts = [full]
         for e in elems:
             ce = cols[e]
@@ -105,16 +111,6 @@ def _vc_from_masks(masks: Sequence[int], budget: Budget) -> tuple[int, tuple[int
     return len(best), best
 
 
-def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """Exact VC dimension with the lexicographically least shattered witness.
-
-    Duplicate members never change shattering and are collapsed first.  The
-    empty family reports 0 by convention.
-    """
-    distinct, _ = family.distinct()
-    return _vc_from_masks(distinct.masks, Budget(budget))
-
-
 def sauer_shelah_capacity(n: int, d: int, max_bits: int | None = None) -> int:
     """Exact sum of binomials C(n, 0) + ... + C(n, d).
 
@@ -155,41 +151,40 @@ class LittlestoneSolver:
 
     A subfamily is a bitset ``sel`` over the distinct members; its value is 0
     with at most one member, else 1 plus the best min over the two sides,
-    ``sel & cols[e]`` and the rest, of a splitting element e.  ``push`` adds a
-    member at the next index and ``pop`` removes the last, with the memo
-    entries that select it: entries are grouped by their highest member.  The
-    memo holds at most ``_MEMO_LIMIT`` entries in all.  Every node the solver
-    opens, in any evaluation, is spent from ``budget``.
+    ``sel & cols[e]`` and the rest, of a splitting element e.  ``cols`` is the
+    solver's own table, a dict over the held elements in the order members
+    brought them.  ``push`` adds a member at the next index and ``pop``
+    removes the last, with the memo entries that select it: entries are
+    grouped by their highest member.  The memo holds at most ``_MEMO_LIMIT``
+    entries in all.  Every node the solver opens, in any evaluation, is
+    spent from ``budget``.
     """
 
     def __init__(self, budget: Budget, masks: Sequence[int] = ()):
         self._budget = budget
-        self._cols: list[int] = []
-        self._memo: list[dict[int, int]] = []
+        self._cols = columns_of(masks)
+        self._memo: list[dict[int, int]] = [{} for _ in masks]
         self._memo_size = 0
-        for mk in masks:
-            self.push(mk)
 
     def push(self, mask: int) -> None:
         """Add ``mask``, which no member equals, as the next member."""
         bit = 1 << len(self._memo)
         cols = self._cols
-        cols.extend([0] * (mask.bit_length() - len(cols)))
         for e in member_of(mask):
-            cols[e] |= bit
+            cols[e] = cols.get(e, 0) | bit
         self._memo.append({})
 
     def pop(self) -> None:
         """Remove the last member and every memo entry that selects it."""
         self._memo_size -= len(self._memo.pop())
         keep = ~(1 << len(self._memo))
-        self._cols = [col & keep for col in self._cols]
+        self._cols = {e: col & keep for e, col in self._cols.items() if col & keep}
 
     def value(self, sel: int) -> int:
         """Littlestone dimension of the members selected by ``sel``."""
-        return self._value(sel, range(len(self._cols)))
+        return self._value(sel, self._cols)
 
-    def _value(self, sel: int, elems: Sequence[int]) -> int:
+    def _value(self, sel: int, elems: Iterable[int]) -> int:
         # ``elems`` includes every element that splits ``sel``
         sz = sel.bit_count()
         if sz <= 1:
@@ -246,7 +241,7 @@ class LittlestoneSolver:
         if v != depth - 1:
             return v >= depth
         self._budget.spend()
-        for e, col in enumerate(self._cols):
+        for e, col in self._cols.items():
             side, rest = sel & col, sel & ~col
             if not cmask >> e & 1:
                 side, rest = rest, side
@@ -260,11 +255,11 @@ class LittlestoneSolver:
         node, and leaf ``kept[i]`` for the least member i selected."""
         if depth == 0:
             return ShatterTree.leaf(kept[(sel & -sel).bit_length() - 1])
-        for e, col in enumerate(self._cols):
-            inside = sel & col
+        cols = self._cols
+        for e in sorted(e for e, col in cols.items() if 0 != sel & col != sel):
+            inside = sel & cols[e]
             outside = sel ^ inside
-            splits = inside and outside and self.value(inside) >= depth - 1
-            if splits and self.value(outside) >= depth - 1:
+            if self.value(inside) >= depth - 1 and self.value(outside) >= depth - 1:
                 return ShatterTree.node(
                     e,
                     self.witness(inside, depth - 1, kept),
@@ -320,7 +315,7 @@ def ls_dimension_tree(
         if hit is not None:
             return hit
         b.spend()
-        res = any(ok(sel & col, depth - 1) and ok(sel & ~col, depth - 1) for col in cols)
+        res = any(ok(sel & col, depth - 1) and ok(sel & ~col, depth - 1) for col in cols.values())
         memo[key] = res
         return res
 
@@ -331,7 +326,7 @@ def ls_dimension_tree(
         if depth == 0:
             low = (sel & -sel).bit_length() - 1
             return ShatterTree.leaf(kept[low])
-        for e, col in enumerate(cols):
+        for e, col in cols.items():
             inside, outside = sel & col, sel & ~col
             if ok(inside, depth - 1) and ok(outside, depth - 1):
                 return ShatterTree.node(e, build(inside, depth - 1), build(outside, depth - 1))

@@ -48,16 +48,15 @@ def member_of(mask: int) -> Member:
     return tuple(out)
 
 
-def columns_of(masks: Sequence[int]) -> tuple[int, ...]:
-    """For each element up to the highest one any mask holds, the bitmask of
-    the masks containing it: the table's length follows what the masks hold,
-    never a declared ground size."""
-    cols = [0] * max(masks, default=0).bit_length()
+def columns_of(masks: Sequence[int]) -> dict[int, int]:
+    """For each element some mask holds, in increasing order, the bitmask of
+    the masks containing it: the table follows what the masks hold, never a
+    declared ground size or the size of a label."""
+    cols: dict[int, int] = {}
     for i, mask in enumerate(masks):
-        bit = 1 << i
         for e in member_of(mask):
-            cols[e] |= bit
-    return tuple(cols)
+            cols[e] = cols.get(e, 0) | 1 << i
+    return dict(sorted(cols.items()))
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,9 @@ class SetFamily:
         return tuple(mask_of(mem) for mem in self.members)
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """For each element up to the highest one a member holds, the bitmask
-        of members containing it; the elements above it have empty columns."""
+    def columns(self) -> dict[int, int]:
+        """The family's column table, :func:`columns_of` its masks, which
+        every search reads and none changes."""
         return columns_of(self.masks)
 
     def member_sizes(self) -> tuple[int, ...]:
@@ -140,6 +139,10 @@ class SetFamily:
         """Collapse duplicate members; returns the family and the kept indices."""
         if not self.multifamily:
             return self, tuple(range(self.m))  # members are distinct already
+        return self._distinct
+
+    @cached_property
+    def _distinct(self) -> tuple["SetFamily", tuple[int, ...]]:
         seen: dict[Member, int] = {}
         kept = []
         for i, mem in enumerate(self.members):
@@ -347,13 +350,14 @@ def _disjoint_subset(
 
 def _sunflower_core_search(
     masks: Sequence[int],
+    cols: dict[int, int],
     indices: Sequence[int],
     r: int,
     budget: Budget,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact search for ``r`` of the given members with pairwise-equal intersections.
 
-    Per candidate core, the members holding it (an AND of its columns) must
+    Per candidate core, the members holding it (an AND of its ``cols``) must
     have ``r`` pairwise disjoint petals (members minus core); the first core
     that does gives the witness ``(core_mask, indices)``, ``None`` if none.
     A core is skipped before its petal walk when its members fall into
@@ -361,7 +365,6 @@ def _sunflower_core_search(
     lowest member left and all holding its petal's lowest element (a member
     equal to the core is a star of its own).
     """
-    cols = columns_of(masks)
     pool = mask_of(indices)
     for core in _candidate_cores(masks[i] for i in indices):
         held = pool
@@ -406,7 +409,7 @@ def find_sunflower(
         _, indices = family.distinct()
     else:
         indices = tuple(range(family.m))
-    hit = _sunflower_core_search(family.masks, indices, r, Budget(budget))
+    hit = _sunflower_core_search(family.masks, family.columns, indices, r, Budget(budget))
     return None if hit is None else Sunflower(member_of(hit[0]), hit[1])
 
 
@@ -621,7 +624,7 @@ def lambda_number(
 
 def _pair_witness_step(
     masks: Sequence[int],
-    cols: Sequence[int],
+    cols: dict[int, int],
     state: tuple[tuple[int, ...], int, int, int],
     t: int,
     cand: int,
@@ -695,7 +698,7 @@ def dual_family(family: SetFamily) -> SetFamily:
     form of :func:`canonicalize` (not a canonical form)."""
     if family.multifamily:
         raise InvalidFamilyError("dual_family requires a plain family (no multifamily)")
-    traces = dict.fromkeys(member_of(col) for col in family.columns if col)
+    traces = dict.fromkeys(member_of(col) for col in family.columns.values())
     dual = SetFamily(family.m, tuple(traces), False)
     return canonicalize(dual)
 
@@ -706,9 +709,9 @@ def element_frequencies(family: SetFamily) -> FrequencyProfile:
     if family.m == 0:
         raise EmptyFamilyError("element_frequencies needs a nonempty family")
     m = family.m
-    cols = family.columns
-    fractions = [Fraction(col.bit_count(), m) for col in cols]
-    fractions += [Fraction(0)] * (family.ground_size - len(cols))
+    fractions = [Fraction(0)] * family.ground_size
+    for e, col in family.columns.items():
+        fractions[e] = Fraction(col.bit_count(), m)
     return FrequencyProfile(tuple(fractions), m)
 
 

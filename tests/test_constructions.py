@@ -20,13 +20,8 @@ from sunflower_lab import (
     vc_dimension,
 )
 from sunflower_lab.constructions import _closing_traces, _relabellings, _sunflower_with
-from sunflower_lab.dimensions import LittlestoneSolver, _vc_from_masks
-from sunflower_lab.family import (
-    _disjoint_subset,
-    _sunflower_core_search,
-    mask_of,
-    member_of,
-)
+from sunflower_lab.dimensions import LittlestoneSolver
+from sunflower_lab.family import _disjoint_subset, mask_of, member_of
 from sunflower_lab.rng import Budget
 
 from oracles import brute_extremal_multifamily
@@ -222,15 +217,25 @@ class TestExtremalSearch:
     def test_g3_1_and_identities(self):
         res = extremal_search("multifamily", 3, 1)
         assert res.exact_value == 5
-        rep = multifamily_identity_report(3, 1)
+        rep = multifamily_identity_report(res)
         assert rep["identities"]["(r-1)*(f-1)+1"] is True
         assert rep["identities"]["(r-1)*f+1"] is False
         assert rep["identities"]["(k-1)*f+1"] is False
 
     def test_g4_1_matches_same_identity(self):
-        rep = multifamily_identity_report(4, 1)
+        rep = multifamily_identity_report(extremal_search("multifamily", 4, 1))
         assert rep["f"] == 4 and rep["g"] == 10
         assert rep["identities"]["(r-1)*(f-1)+1"] is True
+
+    def test_identity_report_needs_uncapped_multifamily(self):
+        # f is read back from an uncapped multifamily g, so neither a family
+        # result nor a capped one is taken
+        for res in (
+            extremal_search("family", 3, 2),
+            extremal_search("multifamily", 3, 2, ground_cap=4),
+        ):
+            with pytest.raises(ParameterError):
+                multifamily_identity_report(res)
 
     def test_vc_bounded_singletons(self):
         res = extremal_search("vc_bounded", 3, 1, d=1)
@@ -467,12 +472,18 @@ def _normal_form(used, k, cap=None):
     return out
 
 
+def _family(masks):
+    """The multifamily whose members are ``masks``, in order."""
+    ground = max(masks, default=0).bit_length()
+    return SetFamily(ground, tuple(member_of(mk) for mk in masks), True)
+
+
 def _has_sunflower(masks, r):
-    return _sunflower_core_search(masks, range(len(masks)), r, Budget(None)) is not None
+    return find_sunflower(_family(masks), r) is not None
 
 
 def _vc(masks):
-    return _vc_from_masks(masks, Budget(None))[0]
+    return vc_dimension(_family(masks))[0]
 
 
 @st.composite

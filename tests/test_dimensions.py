@@ -257,7 +257,7 @@ class TestSauerShelah:
         for fam in small_corpus:
             vc, _ = vc_dimension(fam)
             md = len(set(fam.members))
-            n_active = sum(1 for col in fam.columns if col)
+            n_active = len(fam.columns)
             assert md <= sauer_shelah_capacity(n_active, vc)
 
 

@@ -18,6 +18,7 @@ from sunflower_lab import (
     PackingResult,
     ParameterError,
     SetFamily,
+    ShatterTree,
     Sunflower,
     SunflowerLabError,
     TransversalResult,
@@ -108,7 +109,8 @@ class TestSetFamily:
     def test_masks_and_columns(self):
         fam = SetFamily(3, ((0, 2), (1,)))
         assert fam.masks == (0b101, 0b010)
-        assert fam.columns == (0b01, 0b10, 0b01)
+        assert fam.columns == {0: 0b01, 1: 0b10, 2: 0b01}
+        assert list(fam.columns) == [0, 1, 2]
 
 
 class TestCanonicalize:
@@ -673,3 +675,40 @@ class TestDeclaredGround:
             if fam.m:
                 want = element_frequencies(fam).fractions + (0,) * 50
                 assert element_frequencies(wide).fractions == want
+
+    def test_held_large_labels(self):
+        # a member holding label 2,999,999: the column table has the held
+        # elements only, and every answer is that of the family with the
+        # label renamed 3, once the rename is undone
+        big = 2_999_999
+        label = {0: 0, 1: 1, 2: 2, 3: big}
+
+        def relabel(elems):
+            return tuple(label[e] for e in elems)
+
+        def relabel_tree(tree):
+            if tree is None or tree.is_leaf():
+                return tree
+            left, right = relabel_tree(tree.left), relabel_tree(tree.right)
+            return ShatterTree.node(label[tree.element], left, right)
+
+        for members in (((0, 3), (1, 2)), ((0, 3), (1, 3), (2, 3))):
+            small = SetFamily(4, members)
+            fam = SetFamily(big + 1, tuple(relabel(mem) for mem in members))
+            assert fam.columns == {label[e]: col for e, col in small.columns.items()}
+            assert list(fam.columns) == [0, 1, 2, big]
+            vc, shattered = vc_dimension(small)
+            assert vc_dimension(fam) == (vc, relabel(shattered))
+            ls, tree = ls_dimension(small)
+            assert ls_dimension(fam) == (ls, relabel_tree(tree))
+            for d in (ls, ls + 1):
+                ok, tree = ls_dimension_tree(small, d)
+                assert ls_dimension_tree(fam, d) == (ok, relabel_tree(tree))
+            assert packing_number(fam) == packing_number(small)
+            tau = transversal_number(small)
+            assert transversal_number(fam) == TransversalResult(tau.value, relabel(tau.witness))
+            assert lambda_number(fam) == lambda_number(small)
+            flower = find_sunflower(small, 3)
+            if flower is not None:
+                flower = Sunflower(relabel(flower.core), flower.member_indices)
+            assert find_sunflower(fam, 3) == flower
