@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Optional
 
 from .dimensions import ShatterTree, ls_dimension, sauer_shelah_capacity, vc_dimension
@@ -27,7 +28,6 @@ from .family import (
     SetFamily,
     Sunflower,
     TransversalResult,
-    _common_core,
     count_sunflower_tuples,
     find_sunflower,
     lambda_number,
@@ -77,7 +77,11 @@ def alpha_monte_carlo(
     """Unbiased sampled estimate, deterministic given (seed, trials).
 
     Trials are split into fixed-size chunks, each with its own derived seed,
-    so any partition of chunks over workers reproduces the same total.
+    so any partition of chunks over workers reproduces the same total.  A
+    trial draws r member indices as ``random.Random.randrange(m)`` does, by
+    ``getrandbits`` of m's bit length with values >= m rejected, so each seed
+    draws what ``randrange`` would.  It succeeds when every pairwise
+    intersection equals the first pair's, and stops at the first that differs.
     """
     if family.m == 0:
         raise EmptyFamilyError("alpha_monte_carlo needs a nonempty family")
@@ -87,14 +91,25 @@ def alpha_monte_carlo(
         raise ParameterError("alpha_monte_carlo requires r >= 2")
     masks = family.masks
     m = family.m
+    bits = m.bit_length()
+    pairs = list(combinations(range(r), 2))[1:]  # (0, 1) gives the core
     successes = 0
     chunk_count = (trials + _MC_CHUNK - 1) // _MC_CHUNK
     for chunk in range(chunk_count):
         size = min(_MC_CHUNK, trials - chunk * _MC_CHUNK)
-        rng = seeded_rng("alpha-mc", seed, chunk)
-        randrange = rng.randrange
+        getrandbits = seeded_rng("alpha-mc", seed, chunk).getrandbits
         for _ in range(size):
-            if _common_core([masks[randrange(m)] for _ in range(r)]) is not None:
+            drawn = []
+            for _ in range(r):
+                i = getrandbits(bits)
+                while i >= m:
+                    i = getrandbits(bits)
+                drawn.append(masks[i])
+            core = drawn[0] & drawn[1]
+            for a, b in pairs:
+                if drawn[a] & drawn[b] != core:
+                    break
+            else:
                 successes += 1
     return AlphaEstimate(
         r=r, m=m, estimate=successes / trials, trials=trials, seed=seed

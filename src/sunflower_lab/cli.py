@@ -244,6 +244,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.lambda_cap < 1:
         raise ParameterError(f"--lambda-cap must be >= 1, got {ns.lambda_cap}")
     _check_node_budget(ns)
+    if ns.workers < 1:
+        raise ParameterError(f"--workers must be >= 1, got {ns.workers}")
     target = Path(ns.file)
     batch = target.is_dir()
     if not batch:
@@ -255,9 +257,13 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             print(f"no .setfam files in {target}", file=sys.stderr)
             return EXIT_OTHER
         jobs = [(str(p), ns.r, ns.lambda_cap, ns.node_budget) for p in files]
-        if ns.workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=ns.workers) as pool:
-                results = list(pool.map(_analyze_worker, jobs))
+        # about four chunks per worker, as multiprocessing.Pool.map sends,
+        # and no more workers than chunks
+        chunksize = -(-len(jobs) // (4 * ns.workers))
+        workers = min(ns.workers, -(-len(jobs) // chunksize))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_analyze_worker, jobs, chunksize=chunksize))
         else:
             results = [_analyze_worker(job) for job in jobs]
 

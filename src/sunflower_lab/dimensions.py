@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
-from .family import SetFamily, columns_of, member_of
+from .family import SetFamily, member_of
 from .rng import Budget
 
 
@@ -152,18 +152,22 @@ class LittlestoneSolver:
     A subfamily is a bitset ``sel`` over the distinct members; its value is 0
     with at most one member, else 1 plus the best min over the two sides,
     ``sel & cols[e]`` and the rest, of a splitting element e.  ``cols`` is the
-    solver's own table, a dict over the held elements in the order members
-    brought them.  ``push`` adds a member at the next index and ``pop``
-    removes the last, with the memo entries that select it: entries are
-    grouped by their highest member.  The memo holds at most ``_MEMO_LIMIT``
-    entries in all.  Every node the solver opens, in any evaluation, is
-    spent from ``budget``.
+    solver's own table, a dict over the held elements: a copy of the
+    starting family's table, then the elements pushed members bring.  The
+    solver starts from ``family``'s members, which must be distinct, or from
+    none.  ``push`` adds a member at the next index and ``pop`` removes the
+    last, with the memo entries that select it: entries are grouped by their
+    highest member.  The memo holds at most ``_MEMO_LIMIT`` entries in all.
+    Every node the solver opens, in any evaluation, is spent from ``budget``.
     """
 
-    def __init__(self, budget: Budget, masks: Sequence[int] = ()):
+    def __init__(self, budget: Budget, family: SetFamily | None = None):
         self._budget = budget
-        self._cols = columns_of(masks)
-        self._memo: list[dict[int, int]] = [{} for _ in masks]
+        self._cols: dict[int, int] = {}
+        self._memo: list[dict[int, int]] = []
+        if family is not None:
+            self._cols = dict(family.columns)
+            self._memo = [{} for _ in family.members]
         self._memo_size = 0
 
     def push(self, mask: int) -> None:
@@ -278,7 +282,7 @@ def ls_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, Opt
     distinct, kept = family.distinct()
     if not distinct.m:
         return 0, None
-    solver = LittlestoneSolver(Budget(budget), distinct.masks)
+    solver = LittlestoneSolver(Budget(budget), distinct)
     full = (1 << distinct.m) - 1
     d = solver.value(full)
     return d, solver.witness(full, d, kept)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from sunflower_lab import SetFamily
+from sunflower_lab import AlphaEstimate, SetFamily
 from sunflower_lab.dimensions import ShatterTree
 
 
@@ -205,6 +205,23 @@ def brute_extremal_multifamily(r: int, k: int, ground_cap: int | None = None):
     grow((), 0)
     ground = 1 + max((e for mem in best for e in mem), default=-1)
     return len(best) + 1, best, ground
+
+
+def brute_alpha_monte_carlo(family: SetFamily, r: int, trials: int, seed: int = 0) -> AlphaEstimate:
+    """The sampled pairwise-equal-intersection estimate drawn the plain way:
+    per chunk of 4096 trials a ``random.Random`` seeded ``alpha-mc/seed/chunk``,
+    per trial r ``randrange(m)`` draws, then every pairwise intersection
+    compared with the first."""
+    members = [frozenset(mem) for mem in family.members]
+    m = len(members)
+    successes = 0
+    for chunk in range(-(-trials // 4096)):
+        rng = random.Random(f"alpha-mc/{seed}/{chunk}")
+        for _ in range(min(4096, trials - 4096 * chunk)):
+            drawn = [members[rng.randrange(m)] for _ in range(r)]
+            if len({a & b for a, b in combinations(drawn, 2)}) == 1:
+                successes += 1
+    return AlphaEstimate(r=r, m=m, estimate=successes / trials, trials=trials, seed=seed)
 
 
 def validate_shatter_tree(family: SetFamily, tree: ShatterTree, depth: int) -> None:

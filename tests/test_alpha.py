@@ -30,7 +30,7 @@ import sunflower_lab.alpha
 from sunflower_lab.alpha import BOUND_BIT_CAP, INV_E_HI, INV_E_LO, FamilyAnalysis
 from sunflower_lab.cli import _analyze_file
 
-from oracles import random_family
+from oracles import brute_alpha_monte_carlo, random_family
 
 
 class TestAlphaExact:
@@ -115,6 +115,32 @@ class TestAlphaMonteCarlo:
         fam = SetFamily.from_sets(2, [[0]])
         with pytest.raises(ParameterError):
             alpha_monte_carlo(fam, 3, trials=0)
+
+    @pytest.mark.parametrize("r", (2, 3, 5))
+    @pytest.mark.parametrize("m", (1, 2, 4, 7, 8, 16))
+    def test_matches_plain_sampler(self, r, m):
+        # powers of two are where a draw is rejected most; the trial counts
+        # end on and just past the 4096-trial chunks; members repeat
+        rng = random.Random(100 * m + r)
+        sets = [rng.sample(range(5), rng.randint(0, 3)) for _ in range(max(1, m - 1))]
+        fam = SetFamily.from_sets(5, (sets[:1] + sets)[:m], multifamily=True)
+        assert fam.m == m and (m == 1 or fam.members[0] == fam.members[1])
+        for trials in (1, 4096, 4097, 8193):
+            seed = rng.randrange(1000)
+            got = alpha_monte_carlo(fam, r, trials, seed)
+            assert got == brute_alpha_monte_carlo(fam, r, trials, seed)
+
+    def test_index_draw_is_randrange(self):
+        # alpha_monte_carlo draws an index below m as randrange(m) does:
+        # getrandbits of m's bit length, rejecting values >= m
+        for seed in range(5):
+            for m in range(1, 18):
+                plain, ours = random.Random(seed), random.Random(seed)
+                for _ in range(50):
+                    i = ours.getrandbits(m.bit_length())
+                    while i >= m:
+                        i = ours.getrandbits(m.bit_length())
+                    assert i == plain.randrange(m)
 
 
 class TestLogStar:

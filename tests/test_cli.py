@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 import sunflower_lab
-from sunflower_lab import SetFamily, read_setfam, tree_family, write_setfam
+from sunflower_lab import SetFamily, cli, read_setfam, tree_family, write_setfam
 from sunflower_lab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILURE,
@@ -158,8 +159,45 @@ class TestAnalyze:
         for good in (results[0], results[2]):
             assert "error" not in good and good["vc"] == 1
 
+    def test_analyze_directory_in_chunks(self, capsys, tmp_path):
+        # 25 files, more than 4 x 4: chunks of 4 files at 2 workers and of 2
+        # at 4, the malformed f09 inside one
+        rng = random.Random(20)
+        names = [f"f{i:02d}.setfam" for i in range(25)]
+        for name in names:
+            sets = {frozenset(rng.sample(range(6), rng.randint(1, 3))) for _ in range(6)}
+            write_setfam(SetFamily.from_sets(6, sets), tmp_path / name)
+        (tmp_path / names[9]).write_text("setfam 1 2 1\n9: 0\n")
+        runs = [
+            run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", workers)
+            for workers in ("1", "2", "4")
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        code, out, _ = runs[0]
+        assert code == EXIT_PARSE
+        results = json.loads(out)["results"]
+        assert [r["file"] for r in results] == names
+        assert [i for i, r in enumerate(results) if "error" in r] == [9]
+        assert results[9]["exit"] == EXIT_PARSE
+
+    def test_analyze_directory_starts_no_idle_worker(self, capsys, tmp_path, monkeypatch):
+        started = []
+
+        class Pool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        for name in ("a.setfam", "b.setfam", "c.setfam"):
+            write_setfam(tree_family(3, 2), tmp_path / name)
+        code, _, _ = run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", "8")
+        assert code == EXIT_OK
+        assert started == [3]
+
     @pytest.mark.parametrize(
-        "bad_param", (("--r", "2"), ("--lambda-cap", "0"), ("--node-budget", "-1"))
+        "bad_param",
+        (("--r", "2"), ("--lambda-cap", "0"), ("--node-budget", "-1"), ("--workers", "0")),
     )
     @pytest.mark.parametrize("workers", ("1", "2"))
     def test_analyze_directory_bad_parameter_reported_once(

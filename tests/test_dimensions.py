@@ -112,7 +112,7 @@ class TestLsDimension:
 
     def test_shared_solver_memo_reuse(self):
         # a second search of the same members is answered from the memo
-        solver = LittlestoneSolver(Budget(None), power_set_family(3).masks)
+        solver = LittlestoneSolver(Budget(None), power_set_family(3))
         full = (1 << 8) - 1
         a = solver.value(full)
         assert any(solver._memo)
