@@ -244,7 +244,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.lambda_cap < 1:
         raise ParameterError(f"--lambda-cap must be >= 1, got {ns.lambda_cap}")
     _check_node_budget(ns)
-    if ns.workers < 1:
+    if ns.workers is not None and ns.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {ns.workers}")
     target = Path(ns.file)
     batch = target.is_dir()
@@ -252,6 +252,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         # a single file's error ends the command, reported by main()
         results = [_analyze_file(str(target), ns.r, ns.lambda_cap, ns.node_budget)]
     else:
+        # only a directory needs workers, so only it reads the environment
+        workers = _default_workers() if ns.workers is None else ns.workers
         files = sorted(p for p in target.iterdir() if p.suffix == ".setfam")
         if not files:
             print(f"no .setfam files in {target}", file=sys.stderr)
@@ -259,8 +261,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         jobs = [(str(p), ns.r, ns.lambda_cap, ns.node_budget) for p in files]
         # about four chunks per worker, as multiprocessing.Pool.map sends,
         # and no more workers than chunks
-        chunksize = -(-len(jobs) // (4 * ns.workers))
-        workers = min(ns.workers, -(-len(jobs) // chunksize))
+        chunksize = -(-len(jobs) // (4 * workers))
+        workers = min(workers, -(-len(jobs) // chunksize))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_analyze_worker, jobs, chunksize=chunksize))
@@ -498,13 +500,18 @@ def cmd_extremal(ns: argparse.Namespace) -> int:
 
 
 def _default_workers() -> int:
+    """The worker count ``SUNFLOWER_LAB_THREADS`` sets, 1 if it is unset or
+    empty; anything but a positive integer is refused."""
     env = os.environ.get("SUNFLOWER_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"SUNFLOWER_LAB_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--lambda-cap", type=int, default=8)
     p.add_argument("--node-budget", type=int)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

@@ -2,13 +2,17 @@
 
 Disks over planar points and half-spaces over 3D points.  Membership tests
 compare exact rationals, so traces are reproducible bit for bit; scenes where
-a point lies exactly on a boundary are rejected instead of perturbed.
+a point lies exactly on a boundary are rejected instead of perturbed.  The
+comparisons run on integers: each point is written once as numerators over
+its own least common denominator, and every comparison is cross-multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, GeneralPositionError, ParameterError
@@ -64,8 +68,18 @@ def point3(x, y, z) -> Point3:
     return Point3(Fraction(x), Fraction(y), Fraction(z))
 
 
-def squared_distance(p: Point2, q: Point2) -> Fraction:
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+def _int_point(*coords: Fraction) -> tuple[int, ...]:
+    """The numerators of ``coords`` over their least common denominator q,
+    followed by q: each point keeps its own denominator, so a long one in
+    one point never lengthens the arithmetic of the others."""
+    q = lcm(*[v.denominator for v in coords])
+    return (*[v.numerator * (q // v.denominator) for v in coords], q)
+
+
+def _distance_numerators(coords, cx: int, cy: int, c: int) -> list[int]:
+    """For each point (x, y, q), the numerator of its squared distance to the
+    center (cx, cy) over c: (x*c - cx*q)^2 + (y*c - cy*q)^2, over (q*c)^2."""
+    return [(x * c - cx * q) ** 2 + (y * c - cy * q) ** 2 for x, y, q in coords]
 
 
 def trace_disks(points: Sequence[Point2], disks: Sequence[Disk]) -> SetFamily:
@@ -74,16 +88,22 @@ def trace_disks(points: Sequence[Point2], disks: Sequence[Disk]) -> SetFamily:
     A point exactly on a disk boundary violates general position and raises
     :class:`GeneralPositionError` with the offending pair.
     """
+    coords = [_int_point(p.x, p.y) for p in points]
+    squares = [q * q for _, _, q in coords]
     members = []
     for di, disk in enumerate(disks):
+        cx, cy, c = _int_point(disk.center.x, disk.center.y)
+        rn, rd = disk.radius_squared.numerator, disk.radius_squared.denominator
+        rc = rn * c * c
         inside = []
-        for pi, p in enumerate(points):
-            d2 = squared_distance(p, disk.center)
-            if d2 == disk.radius_squared:
+        # num / (q*c)^2 against rn / rd, cross-multiplied
+        for pi, num in enumerate(_distance_numerators(coords, cx, cy, c)):
+            lhs, rhs = num * rd, rc * squares[pi]
+            if lhs == rhs:
                 raise GeneralPositionError(
                     f"point {pi} lies on the boundary of disk {di}", pi, di
                 )
-            if d2 < disk.radius_squared:
+            if lhs < rhs:
                 inside.append(pi)
         members.append(tuple(inside))
     return SetFamily(len(points), tuple(members), multifamily=True)
@@ -93,19 +113,48 @@ def trace_halfspaces(
     points: Sequence[Point3], halfspaces: Sequence[Halfspace3]
 ) -> SetFamily:
     """One member per half-space: the indices of points strictly on its side."""
+    coords = [_int_point(p.x, p.y, p.z) for p in points]
     members = []
     for hi, h in enumerate(halfspaces):
+        # a*x + b*y + c*z against w, both over den * q, compared by numerators
+        a, b, c, w, _ = _int_point(h.a, h.b, h.c, h.w)
         inside = []
-        for pi, p in enumerate(points):
-            val = h.a * p.x + h.b * p.y + h.c * p.z
-            if val == h.w:
+        for pi, (x, y, z, q) in enumerate(coords):
+            lhs, rhs = a * x + b * y + c * z, w * q
+            if lhs == rhs:
                 raise GeneralPositionError(
                     f"point {pi} lies on the plane of half-space {hi}", pi, hi
                 )
-            if val < h.w:
+            if lhs < rhs:
                 inside.append(pi)
         members.append(tuple(inside))
     return SetFamily(len(points), tuple(members), multifamily=True)
+
+
+def _compare_over_squares(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """The sign of u[0] / u[1]^2 - v[0] / v[1]^2."""
+    lhs, rhs = u[0] * v[1] * v[1], v[0] * u[1] * u[1]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _k_radius_squared(coords, cx: int, cy: int, c: int, k: int) -> Optional[Fraction]:
+    """The squared radius midway between the k-th and (k+1)-th squared
+    distances from the center (cx, cy) over c, or ``None`` if they tie."""
+    nums = _distance_numerators(coords, cx, cy, c)
+    q0 = coords[0][2]
+    if all(q == q0 for _, _, q in coords):
+        # every distance is over (q0*c)^2: order them by numerator
+        nums.sort()
+        (n1, q1), (n2, q2) = (nums[k - 1], q0), (nums[k], q0)
+    else:
+        # num / (q*c)^2 orders as num / q^2, compared cross-multiplied
+        (n1, q1), (n2, q2) = sorted(
+            zip(nums, [q for _, _, q in coords]), key=cmp_to_key(_compare_over_squares)
+        )[k - 1:k + 1]
+    lhs, rhs = n1 * q2 * q2, n2 * q1 * q1
+    if lhs == rhs:
+        return None
+    return Fraction(lhs + rhs, 2 * (q1 * q2 * c) ** 2)
 
 
 def capture_disk(points: Sequence[Point2], center: Point2, k: int) -> Optional[Disk]:
@@ -114,10 +163,9 @@ def capture_disk(points: Sequence[Point2], center: Point2, k: int) -> Optional[D
     distances; ``None`` if those distances tie (degenerate center)."""
     if not 1 <= k < len(points):
         raise ParameterError("capture_disk needs 1 <= k < number of points")
-    dists = sorted(squared_distance(p, center) for p in points)
-    if dists[k - 1] == dists[k]:
-        return None
-    return Disk(center, (dists[k - 1] + dists[k]) / 2)
+    coords = [_int_point(p.x, p.y) for p in points]
+    radius_squared = _k_radius_squared(coords, *_int_point(center.x, center.y), k)
+    return None if radius_squared is None else Disk(center, radius_squared)
 
 
 def gen_k_capturing_disks(
@@ -141,21 +189,30 @@ def gen_k_capturing_disks(
     ys = [p.y for p in points]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
+    # the center xmin + (xmax - xmin) * gx / 2^16 is (x0 + dx * gx) / c, and
+    # likewise in y
+    x0, dx, y0, dy, c = _int_point(
+        xmin,
+        Fraction(xmax - xmin, _GRID_DENOM),
+        ymin,
+        Fraction(ymax - ymin, _GRID_DENOM),
+    )
+    coords = [_int_point(p.x, p.y) for p in points]
+    if count and k < 1:  # what capture_disk raises on the first draw
+        raise ParameterError("capture_disk needs 1 <= k < number of points")
     rng = seeded_rng("k-capturing", seed)
     disks: list[Disk] = []
     for _ in range(count):
-        disk = None
         for _attempt in range(_MAX_ATTEMPTS_PER_DISK):
-            gx = Fraction(rng.randrange(_GRID_DENOM + 1), _GRID_DENOM)
-            gy = Fraction(rng.randrange(_GRID_DENOM + 1), _GRID_DENOM)
-            center = Point2(xmin + (xmax - xmin) * gx, ymin + (ymax - ymin) * gy)
-            disk = capture_disk(points, center, k)
-            if disk is not None:
+            cx = x0 + dx * rng.randrange(_GRID_DENOM + 1)
+            cy = y0 + dy * rng.randrange(_GRID_DENOM + 1)
+            radius_squared = _k_radius_squared(coords, cx, cy, c, k)
+            if radius_squared is not None:
                 break
-        if disk is None:
+        else:
             raise BudgetExceededError(
                 f"resampling budget exhausted after {_MAX_ATTEMPTS_PER_DISK} attempts; "
                 "the point set is too degenerate for k-capturing disks"
             )
-        disks.append(disk)
+        disks.append(Disk(Point2(Fraction(cx, c), Fraction(cy, c)), radius_squared))
     return tuple(disks), trace_disks(points, disks)

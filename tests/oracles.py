@@ -7,9 +7,18 @@ with the package's search routines; sizes are kept small by the callers.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
-from sunflower_lab import AlphaEstimate, SetFamily
+from sunflower_lab import (
+    AlphaEstimate,
+    BudgetExceededError,
+    Disk,
+    GeneralPositionError,
+    ParameterError,
+    Point2,
+    SetFamily,
+)
 from sunflower_lab.dimensions import ShatterTree
 
 
@@ -222,6 +231,87 @@ def brute_alpha_monte_carlo(family: SetFamily, r: int, trials: int, seed: int = 
             if len({a & b for a, b in combinations(drawn, 2)}) == 1:
                 successes += 1
     return AlphaEstimate(r=r, m=m, estimate=successes / trials, trials=trials, seed=seed)
+
+
+def _brute_squared_distance(p, q) -> Fraction:
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+def brute_trace_disks(points, disks) -> SetFamily:
+    """Disk traces with every distance a ``Fraction``: one member per disk,
+    the indices of points strictly inside; a boundary point raises."""
+    members = []
+    for di, disk in enumerate(disks):
+        inside = []
+        for pi, p in enumerate(points):
+            d2 = _brute_squared_distance(p, disk.center)
+            if d2 == disk.radius_squared:
+                raise GeneralPositionError(
+                    f"point {pi} lies on the boundary of disk {di}", pi, di
+                )
+            if d2 < disk.radius_squared:
+                inside.append(pi)
+        members.append(tuple(inside))
+    return SetFamily(len(points), tuple(members), multifamily=True)
+
+
+def brute_trace_halfspaces(points, halfspaces) -> SetFamily:
+    """Half-space traces with every value a ``Fraction``."""
+    members = []
+    for hi, h in enumerate(halfspaces):
+        inside = []
+        for pi, p in enumerate(points):
+            val = h.a * p.x + h.b * p.y + h.c * p.z
+            if val == h.w:
+                raise GeneralPositionError(
+                    f"point {pi} lies on the plane of half-space {hi}", pi, hi
+                )
+            if val < h.w:
+                inside.append(pi)
+        members.append(tuple(inside))
+    return SetFamily(len(points), tuple(members), multifamily=True)
+
+
+def brute_capture_disk(points, center, k: int):
+    """The k-capturing disk around ``center`` from a full ``Fraction`` sort
+    of the distances; ``None`` on a tie between the k-th and (k+1)-th."""
+    if not 1 <= k < len(points):
+        raise ParameterError("capture_disk needs 1 <= k < number of points")
+    dists = sorted(_brute_squared_distance(p, center) for p in points)
+    if dists[k - 1] == dists[k]:
+        return None
+    return Disk(center, (dists[k - 1] + dists[k]) / 2)
+
+
+def brute_gen_k_capturing_disks(points, k: int, count: int, seed: int = 0):
+    """``gen_k_capturing_disks`` in ``Fraction`` arithmetic: centers drawn on
+    the 2^16 grid of the bounding box by a ``random.Random`` seeded
+    ``k-capturing/seed``, a tied center redrawn up to 1000 times."""
+    if len(points) <= k:
+        raise ParameterError("need more points than k")
+    if count < 0:
+        raise ParameterError("count must be >= 0")
+    xmin, xmax = min(p.x for p in points), max(p.x for p in points)
+    ymin, ymax = min(p.y for p in points), max(p.y for p in points)
+    rng = random.Random(f"k-capturing/{seed}")
+    grid = 2**16
+    disks = []
+    for _ in range(count):
+        disk = None
+        for _attempt in range(1000):
+            gx = Fraction(rng.randrange(grid + 1), grid)
+            gy = Fraction(rng.randrange(grid + 1), grid)
+            center = Point2(xmin + (xmax - xmin) * gx, ymin + (ymax - ymin) * gy)
+            disk = brute_capture_disk(points, center, k)
+            if disk is not None:
+                break
+        if disk is None:
+            raise BudgetExceededError(
+                "resampling budget exhausted after 1000 attempts; "
+                "the point set is too degenerate for k-capturing disks"
+            )
+        disks.append(disk)
+    return tuple(disks), brute_trace_disks(points, disks)
 
 
 def validate_shatter_tree(family: SetFamily, tree: ShatterTree, depth: int) -> None:

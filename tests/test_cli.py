@@ -8,7 +8,7 @@ import time
 import pytest
 
 import sunflower_lab
-from sunflower_lab import SetFamily, cli, read_setfam, tree_family, write_setfam
+from sunflower_lab import ParameterError, SetFamily, cli, read_setfam, tree_family, write_setfam
 from sunflower_lab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILURE,
@@ -553,10 +553,26 @@ class TestExitCodes:
 
         monkeypatch.setenv("SUNFLOWER_LAB_THREADS", "4")
         assert _default_workers() == 4
-        monkeypatch.setenv("SUNFLOWER_LAB_THREADS", "garbage")
+        for bad in ("garbage", "0", "-3"):
+            monkeypatch.setenv("SUNFLOWER_LAB_THREADS", bad)
+            with pytest.raises(ParameterError, match="SUNFLOWER_LAB_THREADS"):
+                _default_workers()
+        monkeypatch.setenv("SUNFLOWER_LAB_THREADS", "")
         assert _default_workers() == 1
         monkeypatch.delenv("SUNFLOWER_LAB_THREADS")
         assert _default_workers() == 1
+
+    @pytest.mark.parametrize("bad", ("abc", "0", "-3"))
+    def test_bad_threads_env_refused_where_workers_are_needed(self, capsys, tmp_path, monkeypatch, bad):
+        monkeypatch.setenv("SUNFLOWER_LAB_THREADS", bad)
+        write_setfam(tree_family(3, 2), tmp_path / "a.setfam")
+        code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--json")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"invalid input: SUNFLOWER_LAB_THREADS must be an integer >= 1, got {bad!r}\n"
+        # --workers overrides the variable, and nothing else reads it
+        assert run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", "1")[0] == EXIT_OK
+        assert run_cli(capsys, "analyze", str(tmp_path / "a.setfam"), "--json")[0] == EXIT_OK
+        assert run_cli(capsys, "bounds", "T3U", "--r", "3", "--k", "2", "--d", "1")[0] == EXIT_OK
 
 
 class TestReproducibility:

@@ -1,9 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    brute_capture_disk,
+    brute_gen_k_capturing_disks,
+    brute_trace_disks,
+    brute_trace_halfspaces,
+)
 from sunflower_lab import (
+    BudgetExceededError,
     Disk,
     GeneralPositionError,
     Halfspace3,
@@ -172,3 +182,148 @@ class TestGenKCapturingDisks:
         pts = [point2(0, 0), point2(1, 0)]
         with pytest.raises(ParameterError):
             gen_k_capturing_disks(pts, k=2, count=1, seed=0)
+
+
+def outcome(fn, *args):
+    """What a call returns, or its error as (type, message, indices): a
+    family as its ground, members and kind, so two calls compare equal only
+    if both give the same answer or fail the same way."""
+    try:
+        out = fn(*args)
+    except GeneralPositionError as exc:
+        return ("GeneralPositionError", str(exc), exc.point_index, exc.region_index)
+    except (ParameterError, BudgetExceededError) as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(out, tuple):  # gen_k_capturing_disks: (disks, family)
+        disks, fam = out
+        return disks, (fam.ground_size, fam.members, fam.multifamily)
+    if isinstance(out, Disk) or out is None:
+        return out
+    return out.ground_size, out.members, out.multifamily
+
+
+# integer-only and mixed-denominator coordinates, negative ones included
+integer_coord = st.integers(-40, 40).map(Fraction)
+rational_coord = st.builds(Fraction, st.integers(-2400, 2400), st.integers(1, 60))
+coord = st.one_of(integer_coord, rational_coord)
+positive = st.builds(Fraction, st.integers(1, 150000), st.integers(1, 50))
+
+
+def scenes(coordinate, min_size=1):
+    return st.lists(st.builds(point2, coordinate, coordinate), min_size=min_size, max_size=12)
+
+
+def squared(p, q):
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+class TestIntegerKernelMatchesFractions:
+    """The integer kernel against the plain ``Fraction`` code in oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), coordinate=st.sampled_from([coord, integer_coord, rational_coord]))
+    def test_trace_disks(self, data, coordinate):
+        pts = data.draw(scenes(coordinate))
+        disks = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            center = point2(data.draw(coordinate), data.draw(coordinate))
+            if data.draw(st.integers(0, 3)) == 0:  # through one of the points
+                r2 = squared(pts[data.draw(st.integers(0, len(pts) - 1))], center)
+                r2 = r2 or data.draw(positive)
+            else:
+                r2 = data.draw(positive)
+            disks.append(Disk(center, r2))
+        assert outcome(trace_disks, pts, disks) == outcome(brute_trace_disks, pts, disks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), coordinate=st.sampled_from([coord, integer_coord, rational_coord]))
+    def test_trace_halfspaces(self, data, coordinate):
+        pts = data.draw(st.lists(st.builds(point3, coordinate, coordinate, coordinate), min_size=1, max_size=10))
+        halfspaces = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            a, b, c = (data.draw(coordinate) for _ in range(3))
+            if a == b == c == 0:
+                a = Fraction(1)
+            if data.draw(st.integers(0, 3)) == 0:  # on the plane of one of the points
+                p = pts[data.draw(st.integers(0, len(pts) - 1))]
+                w = a * p.x + b * p.y + c * p.z
+            else:
+                w = data.draw(coordinate)
+            halfspaces.append(Halfspace3(a, b, c, w))
+        assert outcome(trace_halfspaces, pts, halfspaces) == outcome(
+            brute_trace_halfspaces, pts, halfspaces
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        # small integer grids tie the k-th and (k+1)-th distances often
+        coordinate=st.sampled_from([coord, rational_coord, st.integers(-2, 2).map(Fraction)]),
+    )
+    def test_capture_disk(self, data, coordinate):
+        pts = data.draw(scenes(coordinate))
+        center = point2(data.draw(coordinate), data.draw(coordinate))
+        k = data.draw(st.integers(-1, len(pts) + 1))  # out of range included
+        assert outcome(capture_disk, pts, center, k) == outcome(brute_capture_disk, pts, center, k)
+
+    @pytest.mark.parametrize(
+        "pts, k, tied",
+        [
+            ([point2(-1, 0), point2(1, 0), point2(5, 5)], 1, True),
+            # distance 1 over denominators 5 and 1: a tie only cross-multiplication sees
+            ([point2(Fraction(3, 5), Fraction(4, 5)), point2(1, 0), point2(2, 2)], 1, True),
+            ([point2(Fraction(3, 5), Fraction(4, 5)), point2(1, 0), point2(2, 2)], 2, False),
+            ([point2(Fraction(3, 5), Fraction(4, 5)), point2(1, 0), point2(2, 2)], 3, None),
+        ],
+    )
+    def test_capture_disk_ties(self, pts, k, tied):
+        new = outcome(capture_disk, pts, point2(0, 0), k)
+        assert new == outcome(brute_capture_disk, pts, point2(0, 0), k)
+        if tied is None:
+            assert new[0] == "ParameterError"
+        else:
+            assert (new is None) == tied
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pts=st.one_of(
+            scenes(coord, min_size=2),
+            scenes(integer_coord, min_size=2),
+            scenes(rational_coord, min_size=2),
+        ).filter(lambda pts: len(set(pts)) == len(pts)),
+        k=st.integers(-1, 6),
+        count=st.integers(-1, 6),
+        seed=st.integers(0, 10**6),
+    )
+    def test_gen_k_capturing_disks(self, pts, k, count, seed):
+        assert outcome(gen_k_capturing_disks, pts, k, count, seed) == outcome(
+            brute_gen_k_capturing_disks, pts, k, count, seed
+        )
+
+    def test_gen_exhausted_resampling(self):
+        # two equal points tie at every center
+        pts = [point2(Fraction(1, 3), 2), point2(Fraction(1, 3), 2)]
+        new = outcome(gen_k_capturing_disks, pts, 1, 1, 0)
+        assert new[0] == "BudgetExceededError"
+        assert new == outcome(brute_gen_k_capturing_disks, pts, 1, 1, 0)
+
+
+class TestPerPointDenominators:
+    def test_distinct_long_denominators_stay_fast(self):
+        # every coordinate has its own 40-digit denominator, so a scene-wide
+        # common denominator would run to tens of thousands of digits;
+        # each point's own denominator keeps the work proportional to the input
+        rng = random.Random(40)
+
+        def coordinate():
+            den = rng.randrange(10**39, 10**40)
+            return Fraction(rng.randrange(1000 * den), den)
+
+        pts = [point2(coordinate(), coordinate()) for _ in range(600)]
+        started = time.perf_counter()
+        disks, fam = gen_k_capturing_disks(pts, k=5, count=3, seed=1)
+        traced = trace_disks(pts, disks)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 5.0, f"600 points with 40-digit denominators took {elapsed:.2f} s"
+        assert traced == fam and fam.is_uniform() == 5
+        assert (disks, fam) == brute_gen_k_capturing_disks(pts, 5, 3, 1)
