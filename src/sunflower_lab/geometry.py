@@ -140,17 +140,11 @@ def _compare_over_squares(u: tuple[int, int], v: tuple[int, int]) -> int:
 def _k_radius_squared(coords, cx: int, cy: int, c: int, k: int) -> Optional[Fraction]:
     """The squared radius midway between the k-th and (k+1)-th squared
     distances from the center (cx, cy) over c, or ``None`` if they tie."""
-    nums = _distance_numerators(coords, cx, cy, c)
-    q0 = coords[0][2]
-    if all(q == q0 for _, _, q in coords):
-        # every distance is over (q0*c)^2: order them by numerator
-        nums.sort()
-        (n1, q1), (n2, q2) = (nums[k - 1], q0), (nums[k], q0)
-    else:
-        # num / (q*c)^2 orders as num / q^2, compared cross-multiplied
-        (n1, q1), (n2, q2) = sorted(
-            zip(nums, [q for _, _, q in coords]), key=cmp_to_key(_compare_over_squares)
-        )[k - 1:k + 1]
+    # num / (q*c)^2 orders as num / q^2, compared cross-multiplied
+    (n1, q1), (n2, q2) = sorted(
+        zip(_distance_numerators(coords, cx, cy, c), [q for _, _, q in coords]),
+        key=cmp_to_key(_compare_over_squares),
+    )[k - 1:k + 1]
     lhs, rhs = n1 * q2 * q2, n2 * q1 * q1
     if lhs == rhs:
         return None
