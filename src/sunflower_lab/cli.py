@@ -11,6 +11,8 @@ regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import os
 import sys
@@ -217,13 +219,27 @@ def _render_analysis_text(res: dict, out) -> None:
     )
 
 
-def _analyze_worker(args: tuple) -> dict:
-    """One file of a directory batch; its error becomes its entry."""
+def _render_batch_item(res: dict, as_json: bool) -> str:
+    """One file's piece of a directory batch: its text block, or its JSON
+    indented to sit in the batch's ``results`` list.  JSON escapes every
+    newline inside a string, so each raw newline is structural."""
+    if as_json:
+        return _dump_json(res)[:-1].replace("\n", "\n    ")
+    out = io.StringIO()
+    _render_analysis_text(res, out)
+    return out.getvalue()
+
+
+def _analyze_worker(args: tuple) -> tuple[int, str]:
+    """One file of a directory batch, analysed and rendered where it runs:
+    its exit code and its piece of the output.  Its error becomes its entry."""
+    path, r, lambda_cap, node_budget, as_json = args
     try:
-        return _analyze_file(*args)
+        res = _analyze_file(path, r, lambda_cap, node_budget)
     except _REPORTED_ERRORS as exc:
         message, code = _error_exit(exc)
-        return {"file": Path(args[0]).name, "error": message, "exit": code}
+        res = {"file": Path(path).name, "error": message, "exit": code}
+    return _result_exit(res), _render_batch_item(res, as_json)
 
 
 def _result_exit(res: dict) -> int:
@@ -247,39 +263,39 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if ns.workers is not None and ns.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {ns.workers}")
     target = Path(ns.file)
-    batch = target.is_dir()
-    if not batch:
+    if not target.is_dir():
         # a single file's error ends the command, reported by main()
-        results = [_analyze_file(str(target), ns.r, ns.lambda_cap, ns.node_budget)]
-    else:
-        # only a directory needs workers, so only it reads the environment
-        workers = _default_workers() if ns.workers is None else ns.workers
-        files = sorted(p for p in target.iterdir() if p.suffix == ".setfam")
-        if not files:
-            print(f"no .setfam files in {target}", file=sys.stderr)
-            return EXIT_OTHER
-        jobs = [(str(p), ns.r, ns.lambda_cap, ns.node_budget) for p in files]
-        # about four chunks per worker, as multiprocessing.Pool.map sends,
-        # and no more workers than chunks
-        chunksize = -(-len(jobs) // (4 * workers))
-        workers = min(workers, -(-len(jobs) // chunksize))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_analyze_worker, jobs, chunksize=chunksize))
+        res = _analyze_file(str(target), ns.r, ns.lambda_cap, ns.node_budget)
+        if ns.json:
+            sys.stdout.write(_dump_json(res))
         else:
-            results = [_analyze_worker(job) for job in jobs]
-
-    if ns.json:
-        if batch:
-            sys.stdout.write(_dump_json({"schema": SCHEMA_VERSION, "results": results}))
-        else:
-            sys.stdout.write(_dump_json(results[0]))
-    else:
-        for i, res in enumerate(results):
-            if i:
-                print()
             _render_analysis_text(res, sys.stdout)
-    return max(_result_exit(res) for res in results)
+        return _result_exit(res)
+    # only a directory needs workers, so only it reads the environment; the
+    # parser never does, since main reuses one parser per process
+    workers = _default_workers() if ns.workers is None else ns.workers
+    files = sorted(p for p in target.iterdir() if p.suffix == ".setfam")
+    if not files:
+        print(f"no .setfam files in {target}", file=sys.stderr)
+        return EXIT_OTHER
+    jobs = [(str(p), ns.r, ns.lambda_cap, ns.node_budget, ns.json) for p in files]
+    # about four chunks per worker, as multiprocessing.Pool.map sends,
+    # and no more workers than chunks
+    chunksize = -(-len(jobs) // (4 * workers))
+    workers = min(workers, -(-len(jobs) // chunksize))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            codes, pieces = zip(*pool.map(_analyze_worker, jobs, chunksize=chunksize))
+    else:
+        codes, pieces = zip(*map(_analyze_worker, jobs))
+    # the workers rendered every file, so the batch only joins their pieces
+    if ns.json:
+        # the batch document around a placeholder item, in _dump_json's layout
+        head, _, tail = _dump_json({"schema": SCHEMA_VERSION, "results": [None]}).partition("null")
+        sys.stdout.write(head + ",\n    ".join(pieces) + tail)
+    else:
+        sys.stdout.write("\n".join(pieces))
+    return max(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +530,12 @@ def _default_workers() -> int:
     return workers
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every
+    ``main`` call.  It must read no environment or other state, so that a
+    reused parser parses as a fresh one would; ``SUNFLOWER_LAB_THREADS`` is
+    read by ``cmd_analyze`` for that reason."""
     parser = argparse.ArgumentParser(
         prog="sunflower-lab",
         description=(

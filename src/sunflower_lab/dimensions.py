@@ -1,10 +1,8 @@
-"""Exact VC and Littlestone dimension, each with an independent oracle route.
+"""Exact VC and Littlestone dimension.
 
 ``vc_dimension`` ascends through shattered-set sizes apriori-style, testing
 candidates with per-element member bitmasks.  ``ls_dimension`` evaluates the
-recursive split definition on member-selection bitsets with memoization,
-while ``ls_dimension_tree`` decides shattered labelings of a complete binary
-tree directly from the tree semantics and serves as the unpruned cross-check.
+recursive split definition on member-selection bitsets with memoization.
 """
 
 from __future__ import annotations
@@ -277,7 +275,7 @@ def ls_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, Opt
 
     Duplicates are collapsed first (they never change the dimension).  The
     tree takes the least splitting element at each node and the least
-    member index at each leaf, as :func:`ls_dimension_tree` does.
+    member index at each leaf.
     """
     distinct, kept = family.distinct()
     if not distinct.m:
@@ -286,55 +284,3 @@ def ls_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, Opt
     full = (1 << distinct.m) - 1
     d = solver.value(full)
     return d, solver.witness(full, d, kept)
-
-
-# ---------------------------------------------------------------------------
-# Littlestone dimension, direct tree-labeling route (oracle)
-
-
-def ls_dimension_tree(
-    family: SetFamily, d: int, budget: int | None = None
-) -> tuple[bool, Optional[ShatterTree]]:
-    """Decide whether a complete binary tree of depth ``d`` admits a shattered
-    labeling by ``family``; exhaustive over element labels with memoization.
-
-    This follows the tree definition literally (no element removal, no
-    balance pruning, every element a member holds is a candidate at every
-    node; an element no member holds splits nothing), so it is an independent
-    oracle for :func:`ls_dimension`.
-    """
-    if d < 0:
-        raise ParameterError("tree depth must be >= 0")
-    distinct, kept = family.distinct()
-    cols = distinct.columns
-    full = (1 << distinct.m) - 1
-    b = Budget(budget)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def ok(sel: int, depth: int) -> bool:
-        if depth == 0:
-            return sel != 0
-        key = (sel, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        b.spend()
-        res = any(ok(sel & col, depth - 1) and ok(sel & ~col, depth - 1) for col in cols.values())
-        memo[key] = res
-        return res
-
-    if not ok(full, d):
-        return False, None
-
-    def build(sel: int, depth: int) -> ShatterTree:
-        if depth == 0:
-            low = (sel & -sel).bit_length() - 1
-            return ShatterTree.leaf(kept[low])
-        for e, col in cols.items():
-            inside, outside = sel & col, sel & ~col
-            if ok(inside, depth - 1) and ok(outside, depth - 1):
-                return ShatterTree.node(e, build(inside, depth - 1), build(outside, depth - 1))
-        raise AssertionError  # pragma: no cover
-
-    return True, build(full, d)
-

@@ -131,24 +131,30 @@ def trace_halfspaces(
     return SetFamily(len(points), tuple(members), multifamily=True)
 
 
-def _compare_over_squares(u: tuple[int, int], v: tuple[int, int]) -> int:
+def _compare_over_squares(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     """The sign of u[0] / u[1]^2 - v[0] / v[1]^2."""
     lhs, rhs = u[0] * v[1] * v[1], v[0] * u[1] * u[1]
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _k_radius_squared(coords, cx: int, cy: int, c: int, k: int) -> Optional[Fraction]:
+def _k_nearest(
+    coords, cx: int, cy: int, c: int, k: int
+) -> Optional[tuple[Fraction, tuple[int, ...]]]:
     """The squared radius midway between the k-th and (k+1)-th squared
-    distances from the center (cx, cy) over c, or ``None`` if they tie."""
+    distances from the center (cx, cy) over c, and the indices of the k
+    nearest points in ascending order; ``None`` if those distances tie."""
     # num / (q*c)^2 orders as num / q^2, compared cross-multiplied
-    (n1, q1), (n2, q2) = sorted(
-        zip(_distance_numerators(coords, cx, cy, c), [q for _, _, q in coords]),
+    nums = _distance_numerators(coords, cx, cy, c)
+    ordered = sorted(
+        zip(nums, [q for _, _, q in coords], range(len(coords))),
         key=cmp_to_key(_compare_over_squares),
-    )[k - 1:k + 1]
+    )
+    (n1, q1, _), (n2, q2, _) = ordered[k - 1:k + 1]
     lhs, rhs = n1 * q2 * q2, n2 * q1 * q1
     if lhs == rhs:
         return None
-    return Fraction(lhs + rhs, 2 * (q1 * q2 * c) ** 2)
+    nearest = tuple(sorted(i for _, _, i in ordered[:k]))
+    return Fraction(lhs + rhs, 2 * (q1 * q2 * c) ** 2), nearest
 
 
 def capture_disk(points: Sequence[Point2], center: Point2, k: int) -> Optional[Disk]:
@@ -158,8 +164,8 @@ def capture_disk(points: Sequence[Point2], center: Point2, k: int) -> Optional[D
     if not 1 <= k < len(points):
         raise ParameterError("capture_disk needs 1 <= k < number of points")
     coords = [_int_point(p.x, p.y) for p in points]
-    radius_squared = _k_radius_squared(coords, *_int_point(center.x, center.y), k)
-    return None if radius_squared is None else Disk(center, radius_squared)
+    found = _k_nearest(coords, *_int_point(center.x, center.y), k)
+    return None if found is None else Disk(center, found[0])
 
 
 def gen_k_capturing_disks(
@@ -196,17 +202,22 @@ def gen_k_capturing_disks(
         raise ParameterError("capture_disk needs 1 <= k < number of points")
     rng = seeded_rng("k-capturing", seed)
     disks: list[Disk] = []
+    members: list[tuple[int, ...]] = []
     for _ in range(count):
         for _attempt in range(_MAX_ATTEMPTS_PER_DISK):
             cx = x0 + dx * rng.randrange(_GRID_DENOM + 1)
             cy = y0 + dy * rng.randrange(_GRID_DENOM + 1)
-            radius_squared = _k_radius_squared(coords, cx, cy, c, k)
-            if radius_squared is not None:
+            found = _k_nearest(coords, cx, cy, c, k)
+            if found is not None:
                 break
         else:
             raise BudgetExceededError(
                 f"resampling budget exhausted after {_MAX_ATTEMPTS_PER_DISK} attempts; "
                 "the point set is too degenerate for k-capturing disks"
             )
+        radius_squared, nearest = found
         disks.append(Disk(Point2(Fraction(cx, c), Fraction(cy, c)), radius_squared))
-    return tuple(disks), trace_disks(points, disks)
+        # the radius lies strictly between the k-th and (k+1)-th distances,
+        # so the disk's trace is the k nearest points
+        members.append(nearest)
+    return tuple(disks), SetFamily(len(points), tuple(members), multifamily=True)

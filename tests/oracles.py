@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 from sunflower_lab import (
     AlphaEstimate,
@@ -20,6 +21,7 @@ from sunflower_lab import (
     SetFamily,
 )
 from sunflower_lab.dimensions import ShatterTree
+from sunflower_lab.rng import Budget
 
 
 def brute_has_sunflower(family: SetFamily, r: int, distinct_only: bool = False) -> bool:
@@ -312,6 +314,53 @@ def brute_gen_k_capturing_disks(points, k: int, count: int, seed: int = 0):
             )
         disks.append(disk)
     return tuple(disks), brute_trace_disks(points, disks)
+
+
+def ls_dimension_tree(
+    family: SetFamily, d: int, budget: int | None = None
+) -> tuple[bool, Optional[ShatterTree]]:
+    """Decide whether a complete binary tree of depth ``d`` admits a shattered
+    labeling by ``family``; exhaustive over element labels with memoization.
+
+    This follows the tree definition literally (no element removal, no
+    balance pruning, every element a member holds is a candidate at every
+    node; an element no member holds splits nothing), so it is an independent
+    oracle for ``ls_dimension``, whose witness tree it returns.
+    """
+    if d < 0:
+        raise ParameterError("tree depth must be >= 0")
+    distinct, kept = family.distinct()
+    cols = distinct.columns
+    full = (1 << distinct.m) - 1
+    b = Budget(budget)
+    memo: dict[tuple[int, int], bool] = {}
+
+    def ok(sel: int, depth: int) -> bool:
+        if depth == 0:
+            return sel != 0
+        key = (sel, depth)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        b.spend()
+        res = any(ok(sel & col, depth - 1) and ok(sel & ~col, depth - 1) for col in cols.values())
+        memo[key] = res
+        return res
+
+    if not ok(full, d):
+        return False, None
+
+    def build(sel: int, depth: int) -> ShatterTree:
+        if depth == 0:
+            low = (sel & -sel).bit_length() - 1
+            return ShatterTree.leaf(kept[low])
+        for e, col in cols.items():
+            inside, outside = sel & col, sel & ~col
+            if ok(inside, depth - 1) and ok(outside, depth - 1):
+                return ShatterTree.node(e, build(inside, depth - 1), build(outside, depth - 1))
+        raise AssertionError  # pragma: no cover
+
+    return True, build(full, d)
 
 
 def validate_shatter_tree(family: SetFamily, tree: ShatterTree, depth: int) -> None:

@@ -25,7 +25,6 @@ from sunflower_lab import (
     log_star,
     ls1_family,
     ls_dimension,
-    ls_dimension_tree,
     packing_number,
     point2,
     popular_element,
@@ -38,7 +37,13 @@ from sunflower_lab import (
 )
 from sunflower_lab.cli import main as cli_main
 
-from oracles import brute_has_sunflower, brute_least_transversal, brute_vc, random_family
+from oracles import (
+    brute_has_sunflower,
+    brute_least_transversal,
+    brute_vc,
+    ls_dimension_tree,
+    random_family,
+)
 
 _corpus_cache = []
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -8,7 +9,15 @@ import time
 import pytest
 
 import sunflower_lab
-from sunflower_lab import ParameterError, SetFamily, cli, read_setfam, tree_family, write_setfam
+from sunflower_lab import (
+    ParameterError,
+    ParseError,
+    SetFamily,
+    cli,
+    read_setfam,
+    tree_family,
+    write_setfam,
+)
 from sunflower_lab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILURE,
@@ -17,6 +26,8 @@ from sunflower_lab.cli import (
     EXIT_PARSE,
     _analyze_file,
     _int_digits_unlimited,
+    _render_analysis_text,
+    build_parser,
     main,
 )
 
@@ -236,6 +247,36 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         doc = json.loads(out)
         assert doc["schema"] == 1 and doc["results"][0]["exit"] == EXIT_PARSE
+
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_analyze_directory_renders_each_file_as_alone(self, capsys, tmp_path, workers):
+        # a good file, one whose empty member gives the tau error entry and
+        # a malformed one; the batch must print what the single-file results
+        # and the error entry print on their own, joined
+        write_setfam(tree_family(3, 3), tmp_path / "a.setfam")
+        write_setfam(SetFamily.from_sets(4, [[0, 1], [], [2, 3], [1, 2]]), tmp_path / "b.setfam")
+        (tmp_path / "c.setfam").write_text("setfam 1 2 1\n9: 0\n")
+        results = []
+        for name in ("a.setfam", "b.setfam", "c.setfam"):
+            try:
+                results.append(_analyze_file(str(tmp_path / name), 3, 8, None))
+            except ParseError as exc:
+                results.append({"file": name, "error": f"parse error: {exc}", "exit": EXIT_PARSE})
+        assert "error" in results[1]["tau"] and results[2]["exit"] == EXIT_PARSE
+
+        code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", workers)
+        assert (code, err) == (EXIT_PARSE, "")
+        want = json.dumps({"schema": 1, "results": results}, sort_keys=True, indent=2) + "\n"
+        assert out == want
+
+        blocks = []
+        for res in results:
+            block = io.StringIO()
+            _render_analysis_text(res, block)
+            blocks.append(block.getvalue())
+        code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--workers", workers)
+        assert (code, err) == (EXIT_PARSE, "")
+        assert out == "\n".join(blocks)
 
     def test_analyze_computes_each_quantity_once(self, tmp_path, monkeypatch):
         # patch every reference the package holds, so a second route to a
@@ -498,6 +539,30 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_reused_parser_parses_as_a_fresh_one(self, capsys, tmp_path, monkeypatch):
+        # one process runs a usage error, then three commands; each must give
+        # what a fresh interpreter gives for the same argv
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at this width
+        monkeypatch.delenv("SUNFLOWER_LAB_THREADS", raising=False)
+        for name, family in (("a.setfam", tree_family(3, 3)), ("b.setfam", tree_family(4, 2))):
+            write_setfam(family, tmp_path / name)
+        argvs = (
+            ["analyze"],
+            ["analyze", str(tmp_path / "a.setfam"), "--json"],
+            ["bounds", "ER", "--r", "3", "--k", "4", "--json"],
+            ["analyze", str(tmp_path)],
+        )
+        assert build_parser() is build_parser()
+        codes = []
+        for argv in argvs:
+            got = run_cli(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "sunflower_lab.cli", *argv], capture_output=True, text=True
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(got[0])
+        assert codes == [EXIT_PARSE, EXIT_OK, EXIT_OK, EXIT_OK]
 
 
 class TestExitCodes:

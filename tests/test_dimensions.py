@@ -11,7 +11,6 @@ from sunflower_lab import (
     ParameterError,
     SetFamily,
     ls_dimension,
-    ls_dimension_tree,
     pad_to_uniform,
     sauer_shelah_capacity,
     tree_family,
@@ -21,7 +20,13 @@ from sunflower_lab.dimensions import LittlestoneSolver
 from sunflower_lab.family import member_of
 from sunflower_lab.rng import Budget
 
-from oracles import brute_least_shattered, brute_vc, random_family, validate_shatter_tree
+from oracles import (
+    brute_least_shattered,
+    brute_vc,
+    ls_dimension_tree,
+    random_family,
+    validate_shatter_tree,
+)
 
 
 def power_set_family(d):

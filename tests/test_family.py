@@ -31,7 +31,6 @@ from sunflower_lab import (
     lambda_number,
     ls1_family,
     ls_dimension,
-    ls_dimension_tree,
     packing_number,
     popular_element,
     product_family,
@@ -53,6 +52,7 @@ from oracles import (
     brute_least_transversal,
     brute_packing,
     brute_transversal,
+    ls_dimension_tree,
     random_family,
 )
 
