@@ -14,11 +14,10 @@ bound costs next to nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .dimensions import ShatterTree, ls_dimension, sauer_shelah_capacity, vc_dimension
 from .errors import EmptyFamilyError, ParameterError
@@ -48,8 +47,7 @@ _MC_CHUNK = 4096
 BOUND_BIT_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
+class AlphaEstimate(NamedTuple):
     """Sampled value of the pairwise-equal-intersection probability."""
 
     r: int
@@ -142,8 +140,7 @@ def log_star(k: int) -> int:
 # bound catalog
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """One evaluated closed-form bound.
 
     ``value`` is the exact rational part; when ``over_e`` is set the true
@@ -362,15 +359,13 @@ def evaluate_bound(bound_id: str, **params: int) -> BoundValue:
 # inequality battery
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -284,18 +283,34 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     chunksize = -(-len(jobs) // (4 * workers))
     workers = min(workers, -(-len(jobs) // chunksize))
     if workers > 1:
+        # only a pooled batch pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes, pieces = zip(*pool.map(_analyze_worker, jobs, chunksize=chunksize))
-    else:
-        codes, pieces = zip(*map(_analyze_worker, jobs))
-    # the workers rendered every file, so the batch only joins their pieces
-    if ns.json:
+            return _write_batch(pool.map(_analyze_worker, jobs, chunksize=chunksize), ns.json)
+    return _write_batch(map(_analyze_worker, jobs), ns.json)
+
+
+def _write_batch(results, as_json: bool) -> int:
+    """Write each file's piece, rendered by its worker, as soon as it is next
+    in filename order, so the batch output is never joined into one string;
+    the highest exit code of them all."""
+    if as_json:
         # the batch document around a placeholder item, in _dump_json's layout
         head, _, tail = _dump_json({"schema": SCHEMA_VERSION, "results": [None]}).partition("null")
-        sys.stdout.write(head + ",\n    ".join(pieces) + tail)
+        sep = ",\n    "
     else:
-        sys.stdout.write("\n".join(pieces))
-    return max(codes)
+        head, sep, tail = "", "\n", ""  # a blank line between text blocks
+    out = sys.stdout
+    out.write(head)
+    code = EXIT_OK
+    for i, (file_code, piece) in enumerate(results):
+        if i:
+            out.write(sep)
+        out.write(piece)
+        code = max(code, file_code)
+    out.write(tail)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,8 @@ multifamily witness (repeating adds no element and keeps the order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .dimensions import LittlestoneSolver
 from .errors import BudgetExceededError, InvalidFamilyError, ParameterError
@@ -163,8 +162,7 @@ def pad_to_uniform(family: SetFamily, k: int) -> SetFamily:
 # randomized lower-bound style generator
 
 
-@dataclass(frozen=True)
-class RandomFamilyReport:
+class RandomFamilyReport(NamedTuple):
     d: int
     r: int
     k: int
@@ -252,8 +250,7 @@ def random_lowerbound_family(
 EXTREMAL_KINDS = ("family", "multifamily", "ls_bounded", "vc_bounded")
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     """Outcome of an exhaustive search for the least size forcing an r-sunflower.
 
     ``exact_value`` is the least m such that every family of k-sets of size m
@@ -313,7 +310,7 @@ def extremal_search(
         members = tuple(mem for mem in res.witness.members for _ in range(r - 1))
         witness = SetFamily(res.witness.ground_size, members, True)
         g = (r - 1) * (res.exact_value - 1) + 1
-        return replace(res, kind=kind, exact_value=g, witness=witness)
+        return res._replace(kind=kind, exact_value=g, witness=witness)
 
     budget = Budget(node_budget)
     # the per-candidate checks count their own nodes, apart from ``nodes``

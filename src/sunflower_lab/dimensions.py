@@ -7,16 +7,14 @@ recursive split definition on member-selection bitsets with memoization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
 from .family import SetFamily, member_of
 from .rng import Budget
 
 
-@dataclass(frozen=True)
-class ShatterTree:
+class ShatterTree(NamedTuple):
     """A labeled complete binary tree witnessing a Littlestone dimension.
 
     Internal nodes carry a ground element (``element``); leaves carry a member

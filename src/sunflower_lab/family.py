@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     EmptyFamilyError,
@@ -59,25 +58,27 @@ def columns_of(masks: Sequence[int]) -> dict[int, int]:
     return dict(sorted(cols.items()))
 
 
-@dataclass(frozen=True)
 class SetFamily:
     """An ordered multifamily of finite sets over ground elements ``0..ground_size-1``.
 
     ``multifamily=False`` additionally promises that members are pairwise
-    distinct as sets.  Construction validates all invariants.
+    distinct as sets.  Construction validates all invariants.  A family is
+    immutable; it is not a tuple, so it has no length and does not iterate.
     """
 
     ground_size: int
     members: tuple[Member, ...]
-    multifamily: bool = False
+    multifamily: bool
 
-    def __post_init__(self):
-        n = self.ground_size
+    def __init__(
+        self, ground_size: int, members: tuple[Member, ...], multifamily: bool = False
+    ):
+        n = ground_size
         if not (0 <= n <= _UINT32_MAX):
             raise InvalidFamilyError(f"ground_size {n} out of range")
-        if len(self.members) > _UINT32_MAX:
+        if len(members) > _UINT32_MAX:
             raise InvalidFamilyError("too many members")
-        for i, mem in enumerate(self.members):
+        for i, mem in enumerate(members):
             prev = -1
             for e in mem:
                 if not isinstance(e, int) or isinstance(e, bool):
@@ -91,8 +92,37 @@ class SetFamily:
                         f"member {i}: element {e} outside ground [0, {n})"
                     )
                 prev = e
-        if not self.multifamily and len(set(self.members)) != len(self.members):
+        if not multifamily and len(set(members)) != len(members):
             raise InvalidFamilyError("duplicate members in a non-multifamily")
+        # written past __setattr__, as cached_property writes its values
+        fields = self.__dict__
+        fields["ground_size"] = ground_size
+        fields["members"] = members
+        fields["multifamily"] = multifamily
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground_size, self.members, self.multifamily) == (
+            other.ground_size,
+            other.members,
+            other.multifamily,
+        )
+
+    def __hash__(self):
+        return hash((self.ground_size, self.members, self.multifamily))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(ground_size={self.ground_size!r}, "
+            f"members={self.members!r}, multifamily={self.multifamily!r})"
+        )
 
     @classmethod
     def from_sets(
@@ -153,8 +183,7 @@ class SetFamily:
         return SetFamily(self.ground_size, members, False), tuple(kept)
 
 
-@dataclass(frozen=True)
-class Sunflower:
+class Sunflower(NamedTuple):
     """A witness: ``r`` member indices whose pairwise intersections equal ``core``."""
 
     core: Member
@@ -172,28 +201,24 @@ class Sunflower:
         return _common_core([family.masks[i] for i in idx]) == mask_of(self.core)
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
+class FrequencyProfile(NamedTuple):
     """Per-element membership fractions of a family with ``member_count`` members."""
 
     fractions: tuple[Fraction, ...]
     member_count: int
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TransversalResult:
+class TransversalResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LambdaResult:
+class LambdaResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
     cap: int

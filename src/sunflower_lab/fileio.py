@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import InvalidFamilyError, ParseError
 from .family import SetFamily
@@ -24,14 +23,12 @@ SCENE3_MAGIC = "scene3"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Scene2:
+class Scene2(NamedTuple):
     points: tuple[Point2, ...]
     disks: tuple[Disk, ...]
 
 
-@dataclass(frozen=True)
-class Scene3:
+class Scene3(NamedTuple):
     points: tuple[Point3, ...]
     halfspaces: tuple[Halfspace3, ...]
 

@@ -9,11 +9,10 @@ its own least common denominator, and every comparison is cross-multiplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, GeneralPositionError, ParameterError
 from .family import SetFamily
@@ -23,41 +22,57 @@ _GRID_DENOM = 2**16  # rational grid for sampled centers
 _MAX_ATTEMPTS_PER_DISK = 1000  # centers sampled per disk before giving up
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(NamedTuple):
     x: Fraction
     y: Fraction
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(NamedTuple):
     x: Fraction
     y: Fraction
     z: Fraction
 
 
-@dataclass(frozen=True)
-class Disk:
+def _checked_make(cls, iterable):
+    """``_make`` for a checked record: namedtuple's own skips ``__new__``, and
+    ``_replace`` goes through ``_make``."""
+    return cls(*iterable)
+
+
+class _DiskFields(NamedTuple):
     center: Point2
     radius_squared: Fraction
 
-    def __post_init__(self):
-        if self.radius_squared <= 0:
+
+class Disk(_DiskFields):
+    __slots__ = ()
+
+    def __new__(cls, center: Point2, radius_squared: Fraction):
+        if radius_squared <= 0:
             raise ParameterError("disk radius_squared must be positive")
+        return tuple.__new__(cls, (center, radius_squared))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class Halfspace3:
-    """The closed side a*x + b*y + c*z <= w of a plane with nonzero normal."""
-
+class _Halfspace3Fields(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
     w: Fraction
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0 and self.c == 0:
+
+class Halfspace3(_Halfspace3Fields):
+    """The closed side a*x + b*y + c*z <= w of a plane with nonzero normal."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Fraction, b: Fraction, c: Fraction, w: Fraction):
+        if a == 0 and b == 0 and c == 0:
             raise ParameterError("half-space normal must be nonzero")
+        return tuple.__new__(cls, (a, b, c, w))
+
+    _make = classmethod(_checked_make)
 
 
 def point2(x, y) -> Point2:

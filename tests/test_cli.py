@@ -1,10 +1,13 @@
+import concurrent.futures
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,12 +197,13 @@ class TestAnalyze:
     def test_analyze_directory_starts_no_idle_worker(self, capsys, tmp_path, monkeypatch):
         started = []
 
-        class Pool(cli.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # cmd_analyze imports the pool only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         for name in ("a.setfam", "b.setfam", "c.setfam"):
             write_setfam(tree_family(3, 2), tmp_path / name)
         code, _, _ = run_cli(capsys, "analyze", str(tmp_path), "--json", "--workers", "8")
@@ -531,6 +535,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_import_loads_no_dataclasses_or_pool(self):
+        # every command pays the package's import; only a pooled batch
+        # imports the process pool, and no module builds dataclasses
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; before = set(sys.modules)\n"
+            "import sunflower_lab, sunflower_lab.cli\n"
+            "heavy = ('dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(m for m in heavy if m in sys.modules and m not in before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -9,14 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sunflower_lab
 from sunflower_lab import (
+    AlphaEstimate,
+    BoundValue,
     BudgetExceededError,
+    CheckResult,
+    Disk,
     EmptyFamilyError,
     EmptyMemberError,
+    ExtremalResult,
+    FrequencyProfile,
+    Halfspace3,
+    InequalityReport,
     InvalidFamilyError,
     LambdaResult,
     PackingResult,
     ParameterError,
+    RandomFamilyReport,
+    Scene2,
+    Scene3,
     SetFamily,
     ShatterTree,
     Sunflower,
@@ -32,6 +45,8 @@ from sunflower_lab import (
     ls1_family,
     ls_dimension,
     packing_number,
+    point2,
+    point3,
     popular_element,
     product_family,
     random_lowerbound_family,
@@ -111,6 +126,85 @@ class TestSetFamily:
         assert fam.masks == (0b101, 0b010)
         assert fam.columns == {0: 0b01, 1: 0b10, 2: 0b01}
         assert list(fam.columns) == [0, 1, 2]
+
+    def test_immutable(self):
+        fam = SetFamily(3, ((0, 2), (1,)))
+        assert fam.masks == (0b101, 0b010)  # a cached_property still fills in
+        for name in ("ground_size", "members", "multifamily", "masks", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(fam, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(fam, name)
+        assert (fam.ground_size, fam.members, fam.multifamily) == (3, ((0, 2), (1,)), False)
+        assert fam.masks == (0b101, 0b010)
+
+    def test_repr_eq_hash(self):
+        fam = SetFamily(3, ((0, 2), (1,)))
+        assert repr(fam) == "SetFamily(ground_size=3, members=((0, 2), (1,)), multifamily=False)"
+        assert fam.columns  # cached values take no part in ==, hash or repr
+        assert fam == SetFamily(3, ((0, 2), (1,)))
+        assert fam != SetFamily(3, ((0, 2), (1,)), multifamily=True)
+        assert fam != SetFamily(4, ((0, 2), (1,)))
+        assert hash(fam) == hash(SetFamily(3, ((0, 2), (1,))))
+        assert hash(fam) == hash((3, ((0, 2), (1,)), False))
+        assert pickle.loads(pickle.dumps(fam)) == fam
+
+    def test_not_a_tuple(self):
+        fam = SetFamily(3, ((0, 2), (1,)))
+        assert fam != (3, ((0, 2), (1,)), False)
+        with pytest.raises(TypeError):
+            len(fam)
+        with pytest.raises(TypeError):
+            iter(fam)
+
+
+def _records() -> dict[str, tuple]:
+    """One instance of each public result record, by name."""
+    p = point2(0, 1)
+    witness = SetFamily(2, ((0, 1),))
+    return {
+        "AlphaEstimate": AlphaEstimate(3, 2, 0.5, 10, 0),
+        "BoundValue": BoundValue("ER", (("r", 3),), Fraction(1), "f"),
+        "CheckResult": CheckResult("name", "pass", "detail"),
+        "Disk": Disk(p, Fraction(1)),
+        "ExtremalResult": ExtremalResult("family", 3, 2, None, 2, witness, True, 1, 1, None, 2),
+        "FrequencyProfile": FrequencyProfile((Fraction(1, 2),), 2),
+        "Halfspace3": Halfspace3(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+        "InequalityReport": InequalityReport(()),
+        "LambdaResult": LambdaResult(1, (0,), 8, False),
+        "PackingResult": PackingResult(1, (0,)),
+        "Point2": p,
+        "Point3": point3(0, 1, 2),
+        "RandomFamilyReport": RandomFamilyReport(1, 3, 2, 0, 4, 1, 2, 2, True, ()),
+        "Scene2": Scene2((p,), ()),
+        "Scene3": Scene3((), ()),
+        "ShatterTree": ShatterTree.leaf(0),
+        "Sunflower": Sunflower((), (0, 1, 2)),
+        "TransversalResult": TransversalResult(1, (0,)),
+    }
+
+
+class TestRecords:
+    def test_every_public_record_listed(self):
+        records = {
+            name
+            for name in sunflower_lab.__all__
+            if isinstance(getattr(sunflower_lab, name), type)
+            and issubclass(getattr(sunflower_lab, name), tuple)
+        }
+        assert records == set(_records())
+
+    @pytest.mark.parametrize("name", sorted(_records()))
+    def test_immutable_named_tuple(self, name):
+        rec = _records()[name]
+        assert type(rec) is getattr(sunflower_lab, name)
+        field = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert rec._replace() == rec and tuple(rec) == tuple(getattr(rec, f) for f in rec._fields)
+        assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 class TestCanonicalize:

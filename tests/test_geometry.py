@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -128,8 +129,39 @@ class TestTraceHalfspaces:
         assert inside | outside == set(range(8)) and not inside & outside
 
     def test_zero_normal_rejected(self):
+        zero = Fraction(0)
         with pytest.raises(ParameterError):
-            Halfspace3(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+            Halfspace3(zero, zero, zero, Fraction(1))
+        # every way of building one checks the normal
+        with pytest.raises(ParameterError):
+            Halfspace3._make((zero, zero, zero, Fraction(1)))
+        h = Halfspace3(Fraction(1), zero, zero, Fraction(1))
+        with pytest.raises(ParameterError):
+            h._replace(a=zero)
+        assert h._replace(w=zero) == Halfspace3(Fraction(1), zero, zero, zero)
+        assert pickle.loads(pickle.dumps(h)) == h
+
+
+class TestDisk:
+    @pytest.mark.parametrize("r2", (Fraction(0), Fraction(-1, 3)))
+    def test_radius_must_be_positive(self, r2):
+        p = point2(1, 2)
+        with pytest.raises(ParameterError):
+            Disk(p, r2)
+        # every way of building one checks the radius
+        with pytest.raises(ParameterError):
+            Disk._make((p, r2))
+        with pytest.raises(ParameterError):
+            Disk(p, Fraction(1))._replace(radius_squared=r2)
+
+    def test_valid_disk_round_trips(self):
+        d = Disk(point2(1, 2), Fraction(5, 2))
+        assert Disk._make(d) == d
+        assert d._replace(center=point2(0, 0)) == Disk(point2(0, 0), Fraction(5, 2))
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert repr(d) == (
+            "Disk(center=Point2(x=Fraction(1, 1), y=Fraction(2, 1)), radius_squared=Fraction(5, 2))"
+        )
 
 
 class TestCaptureDisk:
@@ -194,11 +226,11 @@ def outcome(fn, *args):
         return ("GeneralPositionError", str(exc), exc.point_index, exc.region_index)
     except (ParameterError, BudgetExceededError) as exc:
         return (type(exc).__name__, str(exc))
+    if isinstance(out, Disk) or out is None:  # a Disk is a tuple too
+        return out
     if isinstance(out, tuple):  # gen_k_capturing_disks: (disks, family)
         disks, fam = out
         return disks, (fam.ground_size, fam.members, fam.multifamily)
-    if isinstance(out, Disk) or out is None:
-        return out
     return out.ground_size, out.members, out.multifamily
 
 
