@@ -462,7 +462,7 @@ class FamilyAnalysis:
 
         distinct, _ = family.distinct()
         md = distinct.m
-        n_active = len(distinct.columns)  # the elements some member holds
+        n_active = len(distinct.labels)
 
         vc, _ = self.vc
         ls, _ = self.ls

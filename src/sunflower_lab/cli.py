@@ -286,8 +286,13 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         # only a pooled batch pays for importing the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             return _write_batch(pool.map(_analyze_worker, jobs, chunksize=chunksize), ns.json)
+        finally:
+            # a batch cut short (its reader gone: BrokenPipeError) starts no
+            # chunk not yet begun; a finished one has none left to cancel
+            pool.shutdown(cancel_futures=True)
     return _write_batch(map(_analyze_worker, jobs), ns.json)
 
 

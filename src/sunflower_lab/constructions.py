@@ -412,7 +412,8 @@ def _closing_traces(masks: Sequence[int], x: int, d: int, n: int) -> list[tuple[
     full = (1 << len(masks)) - 1
     # per element, the masks that agree with x on it
     cols = columns_of(masks)
-    agree = [cols.get(e, 0) ^ (0 if x >> e & 1 else full) for e in range(n)]
+    cols += [0] * (n - len(cols))
+    agree = [col ^ (0 if x >> e & 1 else full) for e, col in enumerate(cols)]
     out = []
     for s in combinations(range(n), size):
         same = full  # masks whose trace on s is x's

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
-from .family import SetFamily, member_of
+from .family import SetFamily, mask_of, member_of
 from .rng import Budget
 
 
@@ -104,7 +104,7 @@ def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tup
             break
         level = nxt
         best = level[0]
-    return len(best), best
+    return len(best), distinct.labels_of(mask_of(best))
 
 
 def sauer_shelah_capacity(n: int, d: int, max_bits: int | None = None) -> int:
@@ -148,41 +148,49 @@ class LittlestoneSolver:
     A subfamily is a bitset ``sel`` over the distinct members; its value is 0
     with at most one member, else 1 plus the best min over the two sides,
     ``sel & cols[e]`` and the rest, of a splitting element e.  ``cols`` is the
-    solver's own table, a dict over the held elements: a copy of the
-    starting family's table, then the elements pushed members bring.  The
-    solver starts from ``family``'s members, which must be distinct, or from
-    none.  ``push`` adds a member at the next index and ``pop`` removes the
-    last, with the memo entries that select it: entries are grouped by their
-    highest member.  The memo holds at most ``_MEMO_LIMIT`` entries in all.
+    solver's own column list, up to the highest element a member holds: a
+    copy of the starting family's table, then the elements pushed members
+    bring.  The solver starts from ``family``'s members, which must be
+    distinct, as the positions of ``family.labels``, or from none.  ``push``
+    adds a member at the next index and ``pop`` removes the last, with the
+    memo entries that select it: entries are grouped by their highest
+    member.  The memo holds at most ``_MEMO_LIMIT`` entries in all.
     Every node the solver opens, in any evaluation, is spent from ``budget``.
     """
 
     def __init__(self, budget: Budget, family: SetFamily | None = None):
         self._budget = budget
-        self._cols: dict[int, int] = {}
+        self._cols: list[int] = []
         self._memo: list[dict[int, int]] = []
         if family is not None:
-            self._cols = dict(family.columns)
+            self._cols = list(family.columns)
             self._memo = [{} for _ in family.members]
+        self._elems = range(len(self._cols))
         self._memo_size = 0
 
     def push(self, mask: int) -> None:
         """Add ``mask``, which no member equals, as the next member."""
         bit = 1 << len(self._memo)
         cols = self._cols
+        cols.extend([0] * (mask.bit_length() - len(cols)))
         for e in member_of(mask):
-            cols[e] = cols.get(e, 0) | bit
+            cols[e] |= bit
+        self._elems = range(len(cols))
         self._memo.append({})
 
     def pop(self) -> None:
         """Remove the last member and every memo entry that selects it."""
         self._memo_size -= len(self._memo.pop())
         keep = ~(1 << len(self._memo))
-        self._cols = {e: col & keep for e, col in self._cols.items() if col & keep}
+        cols = [col & keep for col in self._cols]
+        while cols and not cols[-1]:
+            cols.pop()
+        self._cols = cols
+        self._elems = range(len(cols))
 
     def value(self, sel: int) -> int:
         """Littlestone dimension of the members selected by ``sel``."""
-        return self._value(sel, self._cols)
+        return self._value(sel, self._elems)
 
     def _value(self, sel: int, elems: Iterable[int]) -> int:
         # ``elems`` includes every element that splits ``sel``
@@ -241,7 +249,7 @@ class LittlestoneSolver:
         if v != depth - 1:
             return v >= depth
         self._budget.spend()
-        for e, col in self._cols.items():
+        for e, col in enumerate(self._cols):
             side, rest = sel & col, sel & ~col
             if not cmask >> e & 1:
                 side, rest = rest, side
@@ -249,21 +257,25 @@ class LittlestoneSolver:
                 return True
         return False
 
-    def witness(self, sel: int, depth: int, kept: Sequence[int]) -> ShatterTree:
+    def witness(
+        self, sel: int, depth: int, kept: Sequence[int], labels: Sequence[int]
+    ) -> ShatterTree:
         """A depth-``depth`` witness tree for the members selected by ``sel``:
-        the least element whose two sides both reach ``depth - 1`` at each
-        node, and leaf ``kept[i]`` for the least member i selected."""
+        the least element e whose two sides both reach ``depth - 1`` at each
+        node, labelled ``labels[e]``, and leaf ``kept[i]`` for the least
+        member i selected."""
         if depth == 0:
             return ShatterTree.leaf(kept[(sel & -sel).bit_length() - 1])
-        cols = self._cols
-        for e in sorted(e for e, col in cols.items() if 0 != sel & col != sel):
-            inside = sel & cols[e]
+        for e, col in enumerate(self._cols):
+            inside = sel & col
             outside = sel ^ inside
+            if not inside or not outside:
+                continue  # e does not split ``sel``
             if self.value(inside) >= depth - 1 and self.value(outside) >= depth - 1:
                 return ShatterTree.node(
-                    e,
-                    self.witness(inside, depth - 1, kept),
-                    self.witness(outside, depth - 1, kept),
+                    labels[e],
+                    self.witness(inside, depth - 1, kept, labels),
+                    self.witness(outside, depth - 1, kept, labels),
                 )
         raise AssertionError("witness reconstruction failed")  # pragma: no cover
 
@@ -281,4 +293,4 @@ def ls_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, Opt
     solver = LittlestoneSolver(Budget(budget), distinct)
     full = (1 << distinct.m) - 1
     d = solver.value(full)
-    return d, solver.witness(full, d, kept)
+    return d, solver.witness(full, d, kept, distinct.labels)

@@ -2,8 +2,9 @@
 
 A family is an ordered (multi)collection of finite sets over ground elements
 ``0..n-1``.  Members are stored as strictly increasing tuples; every search
-routine mirrors them as integer bitmasks, which makes intersection and
-disjointness tests single big-int operations.
+routine mirrors them as integer bitmasks over the positions of the held
+elements in increasing order (never as wide as a label), which makes
+intersection and disjointness tests single big-int operations.
 
 All searches are exact and deterministic: witnesses are the lexicographically
 least ones, candidate orders are fixed, and no randomness is involved.
@@ -12,7 +13,6 @@ least ones, candidate orders are fixed, and no randomness is involved.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -47,15 +47,14 @@ def member_of(mask: int) -> Member:
     return tuple(out)
 
 
-def columns_of(masks: Sequence[int]) -> dict[int, int]:
-    """For each element some mask holds, in increasing order, the bitmask of
-    the masks containing it: the table follows what the masks hold, never a
-    declared ground size or the size of a label."""
-    cols: dict[int, int] = {}
+def columns_of(masks: Sequence[int]) -> list[int]:
+    """For each bit position up to the highest one some mask holds, the
+    bitmask of the masks containing it (0 where none does)."""
+    cols = [0] * max(map(int.bit_length, masks), default=0)
     for i, mask in enumerate(masks):
         for e in member_of(mask):
-            cols[e] = cols.get(e, 0) | 1 << i
-    return dict(sorted(cols.items()))
+            cols[e] |= 1 << i
+    return cols
 
 
 class SetFamily:
@@ -143,14 +142,29 @@ class SetFamily:
         return len(self.members)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(mem) for mem in self.members)
+    def labels(self) -> tuple[int, ...]:
+        """The elements some member holds, in increasing order: position i
+        of every mask and column stands for ``labels[i]``.  The numbering
+        keeps every order the searches use, so only witnesses need
+        :meth:`labels_of`."""
+        return tuple(sorted({e for mem in self.members for e in mem}))
 
     @cached_property
-    def columns(self) -> dict[int, int]:
-        """The family's column table, :func:`columns_of` its masks, which
-        every search reads and none changes."""
+    def masks(self) -> tuple[int, ...]:
+        """Each member as a bitmask over the positions of ``labels``."""
+        position = {e: i for i, e in enumerate(self.labels)}
+        return tuple(mask_of(position[e] for e in mem) for mem in self.members)
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """The family's column table, :func:`columns_of` its masks, one
+        column per position of ``labels``; every search reads it and none
+        changes it."""
         return columns_of(self.masks)
+
+    def labels_of(self, mask: int) -> Member:
+        """The labels of the positions ``mask`` holds, in increasing order."""
+        return tuple(self.labels[i] for i in member_of(mask))
 
     def member_sizes(self) -> tuple[int, ...]:
         return tuple(len(mem) for mem in self.members)
@@ -198,7 +212,8 @@ class Sunflower(NamedTuple):
         idx = self.member_indices
         if len(idx) < 2 or len(set(idx)) != len(idx):
             return False
-        return _common_core([family.masks[i] for i in idx]) == mask_of(self.core)
+        core = _common_core([family.masks[i] for i in idx])
+        return core is not None and family.labels_of(core) == self.core
 
 
 class FrequencyProfile(NamedTuple):
@@ -374,13 +389,9 @@ def _disjoint_subset(
 
 
 def _sunflower_core_search(
-    masks: Sequence[int],
-    cols: dict[int, int],
-    indices: Sequence[int],
-    r: int,
-    budget: Budget,
+    masks: Sequence[int], cols: Sequence[int], r: int, budget: Budget
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Exact search for ``r`` of the given members with pairwise-equal intersections.
+    """Exact search for ``r`` members with pairwise-equal intersections.
 
     Per candidate core, the members holding it (an AND of its ``cols``) must
     have ``r`` pairwise disjoint petals (members minus core); the first core
@@ -390,9 +401,8 @@ def _sunflower_core_search(
     lowest member left and all holding its petal's lowest element (a member
     equal to the core is a star of its own).
     """
-    pool = mask_of(indices)
-    for core in _candidate_cores(masks[i] for i in indices):
-        held = pool
+    for core in _candidate_cores(masks):
+        held = (1 << len(masks)) - 1
         for e in member_of(core):
             held &= cols[e]
         rest, stars = held, 0
@@ -410,32 +420,22 @@ def _sunflower_core_search(
     return None
 
 
-def find_sunflower(
-    family: SetFamily,
-    r: int,
-    distinct_only: bool = False,
-    budget: int | None = None,
-) -> Optional[Sunflower]:
+def find_sunflower(family: SetFamily, r: int, budget: int | None = None) -> Optional[Sunflower]:
     """Some ``r``-sunflower of ``family`` (distinct member indices), or ``None``.
 
     The search is exact and complete: each candidate core, least first, is
     skipped when its members fall into fewer than ``r`` stars (checked once
     per core, :func:`_sunflower_core_search`), else its petals are walked.
-    With ``distinct_only`` the petals must come from pairwise distinct sets;
-    otherwise repeated identical members (legal in a multifamily) are
-    eligible, so ``r`` copies of one set form a sunflower whose core is the
-    set itself.
+    Repeated identical members (legal in a multifamily) are eligible, so
+    ``r`` copies of one set form a sunflower whose core is the set itself;
+    search ``family.distinct()[0]`` for petals from distinct sets.
 
     ``r=2`` is rejected: any two sets trivially form a 2-sunflower.
     """
     if r < 3:
         raise ParameterError("find_sunflower requires r >= 3 (r = 2 is always satisfiable)")
-    if distinct_only:
-        _, indices = family.distinct()
-    else:
-        indices = tuple(range(family.m))
-    hit = _sunflower_core_search(family.masks, family.columns, indices, r, Budget(budget))
-    return None if hit is None else Sunflower(member_of(hit[0]), hit[1])
+    hit = _sunflower_core_search(family.masks, family.columns, r, Budget(budget))
+    return None if hit is None else Sunflower(family.labels_of(hit[0]), hit[1])
 
 
 def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None) -> int:
@@ -538,7 +538,7 @@ def transversal_number(family: SetFamily, budget: int | None = None) -> Transver
             raise EmptyMemberError(f"member {i} is empty; no transversal exists")
     b = Budget(budget)
     tau = _transversal_value(masks, b)
-    return TransversalResult(tau, _least_cover(masks, tau, b))
+    return TransversalResult(tau, family.labels_of(_least_cover(masks, tau, b)))
 
 
 def _residual(
@@ -592,19 +592,19 @@ def _transversal_value(masks: Sequence[int], budget: Budget) -> int:
     return best
 
 
-def _least_cover(masks: Sequence[int], size: int, budget: Budget) -> tuple[int, ...]:
+def _least_cover(masks: Sequence[int], size: int, budget: Budget) -> int:
     """The lexicographically least hitting set of ``size`` elements of the
-    nonempty ``masks``, where no smaller one exists.
+    nonempty ``masks``, as a mask, where no smaller one exists.
 
     A node is its parent's uncovered members, the element it takes, the
-    elements that may follow it and the chosen elements.  The next element
+    elements that may follow it and the mask of the chosen elements.  The next element
     must hit an uncovered member, since a minimum cover has no idle element,
     and must not pass the least top element of the uncovered members, which
     no later element could hit."""
-    stack: list[tuple[Sequence[int], int, int, tuple[int, ...]]] = [(masks, 0, -1, ())]
+    stack: list[tuple[Sequence[int], int, int, int]] = [(masks, 0, -1, 0)]
     while stack:
         rests, hit, keep, chosen = stack.pop()
-        found = _residual(rests, hit, keep, size - len(chosen) + 1)
+        found = _residual(rests, hit, keep, size - chosen.bit_count() + 1)
         if found is None:
             continue
         rests, within = found
@@ -619,7 +619,7 @@ def _least_cover(masks: Sequence[int], size: int, budget: Budget) -> tuple[int, 
         while allowed:
             e = allowed.bit_length() - 1
             allowed ^= 1 << e
-            stack.append((rests, 1 << e, (-2 << e) & within, chosen + (e,)))
+            stack.append((rests, 1 << e, (-2 << e) & within, chosen | 1 << e))
     raise AssertionError("no cover of the given size")  # unreachable: size is the minimum
 
 
@@ -649,7 +649,7 @@ def lambda_number(
 
 def _pair_witness_step(
     masks: Sequence[int],
-    cols: dict[int, int],
+    cols: Sequence[int],
     state: tuple[tuple[int, ...], int, int, int],
     t: int,
     cand: int,
@@ -723,7 +723,7 @@ def dual_family(family: SetFamily) -> SetFamily:
     form of :func:`canonicalize` (not a canonical form)."""
     if family.multifamily:
         raise InvalidFamilyError("dual_family requires a plain family (no multifamily)")
-    traces = dict.fromkeys(member_of(col) for col in family.columns.values())
+    traces = dict.fromkeys(member_of(col) for col in family.columns)
     dual = SetFamily(family.m, tuple(traces), False)
     return canonicalize(dual)
 
@@ -735,7 +735,7 @@ def element_frequencies(family: SetFamily) -> FrequencyProfile:
         raise EmptyFamilyError("element_frequencies needs a nonempty family")
     m = family.m
     fractions = [Fraction(0)] * family.ground_size
-    for e, col in family.columns.items():
+    for e, col in zip(family.labels, family.columns):
         fractions[e] = Fraction(col.bit_count(), m)
     return FrequencyProfile(tuple(fractions), m)
 
@@ -748,7 +748,6 @@ def popular_element(family: SetFamily) -> tuple[int, Fraction]:
     for i, mem in enumerate(family.members):
         if not mem:
             raise EmptyMemberError(f"member {i} is empty")
-    # only the elements some member holds can win, so the ground size costs nothing
-    counts = Counter(e for mem in family.members for e in mem)
-    best_e = min(counts, key=lambda e: (-counts[e], e))
-    return best_e, Fraction(counts[best_e], family.m)
+    counts = [col.bit_count() for col in family.columns]
+    best = counts.index(max(counts))  # the first largest column, the least label
+    return family.labels[best], Fraction(counts[best], family.m)

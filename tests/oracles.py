@@ -330,7 +330,11 @@ def ls_dimension_tree(
     if d < 0:
         raise ParameterError("tree depth must be >= 0")
     distinct, kept = family.distinct()
-    cols = distinct.columns
+    cols: dict[int, int] = {}  # label: the distinct members holding it
+    for i, mem in enumerate(distinct.members):
+        for e in mem:
+            cols[e] = cols.get(e, 0) | 1 << i
+    cols = dict(sorted(cols.items()))  # the witness takes the least label
     full = (1 << distinct.m) - 1
     b = Budget(budget)
     memo: dict[tuple[int, int], bool] = {}

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from sunflower_lab import (
     SetFamily,
+    Sunflower,
     alpha_exact,
     alpha_monte_carlo,
     check_inequalities,
@@ -280,7 +281,11 @@ def test_criterion_08_geometry():
     pts15 = _grid_points(rng, 15)
     _, dense = gen_k_capturing_disks(pts15, k=3, count=300, seed=11)
     assert dense.is_uniform() == 3
-    assert find_sunflower(dense, 3, distinct_only=True) is not None
+    distinct, kept = dense.distinct()
+    flower = find_sunflower(distinct, 3)
+    assert flower is not None
+    indices = tuple(kept[i] for i in flower.member_indices)
+    assert Sunflower(flower.core, indices).holds_in(dense)
     report(8, "geometry traces, vc <= 3, dense sunflower", started)
 
 

@@ -7,12 +7,14 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import sunflower_lab
 from sunflower_lab import (
+    BudgetExceededError,
     ParameterError,
     ParseError,
     SetFamily,
@@ -28,6 +30,7 @@ from sunflower_lab.cli import (
     EXIT_OTHER,
     EXIT_PARSE,
     _analyze_file,
+    _dump_json,
     _int_digits_unlimited,
     _render_analysis_text,
     build_parser,
@@ -210,6 +213,54 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert started == [3]
 
+    @pytest.mark.parametrize("flags", ((), ("--json",)))
+    def test_analyze_directory_cancels_chunks_when_the_reader_goes(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        ran, shutdowns = [], []
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        class Pool:
+            """Submits every chunk at ``map`` and runs one only when its result is read."""
+
+            def __init__(self, max_workers):
+                self.pending = []
+
+            def map(self, fn, jobs, chunksize):
+                self.pending = list(jobs)
+
+                def results():
+                    while self.pending:
+                        job = self.pending.pop(0)
+                        ran.append(job)
+                        yield fn(job)
+
+                return results()
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                shutdowns.append((cancel_futures, len(self.pending)))
+                if cancel_futures:
+                    self.pending.clear()
+                while self.pending:  # waiting runs every chunk left
+                    ran.append(self.pending.pop(0))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        for name in ("a.setfam", "b.setfam", "c.setfam"):
+            write_setfam(tree_family(3, 2), tmp_path / name)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["analyze", str(tmp_path), "--workers", "2", *flags])
+        assert code == EXIT_OTHER
+        assert shutdowns[0] == (True, 3)  # the first write failed before any chunk ran
+        assert ran == []
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "bad_param",
         (("--r", "2"), ("--lambda-cap", "0"), ("--node-budget", "-1"), ("--workers", "0")),
@@ -323,6 +374,30 @@ class TestAnalyze:
             assert (res.pop("file"), res["family"].pop("n")) == (f.name, n)
             results.append(res)
         assert results[0] == results[1]
+
+    def test_wide_label_analyses_as_a_narrow_one(self, tmp_path):
+        # 60 members {i, i + 60, label}: label 29,999,999 gives the analysis
+        # of label 199 once the label and the ground are renamed back, within
+        # the narrow file's least node budget and a small tracemalloc peak
+        texts = []
+        for label in (199, 29_999_999):
+            f = tmp_path / str(label) / "f.setfam"
+            f.parent.mkdir()
+            rows = "".join(f"3: {i} {i + 60} {label}\n" for i in range(60))
+            f.write_text(f"setfam 1 {label + 1} 60\n{rows}", encoding="ascii")
+            with pytest.raises(BudgetExceededError):
+                _analyze_file(str(f), 3, 8, 180)
+            tracemalloc.start()
+            try:
+                res = _analyze_file(str(f), 3, 8, 181)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20, peak
+            texts.append(_dump_json(res))
+        narrow, wide = texts
+        assert '"n": 30000000' in wide and "29999999" in wide
+        assert wide.replace("29999999", "199").replace("30000000", "200") == narrow
 
 
 class TestAlphaCommand:

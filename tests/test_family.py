@@ -123,9 +123,16 @@ class TestSetFamily:
 
     def test_masks_and_columns(self):
         fam = SetFamily(3, ((0, 2), (1,)))
+        assert fam.labels == (0, 1, 2)
         assert fam.masks == (0b101, 0b010)
-        assert fam.columns == {0: 0b01, 1: 0b10, 2: 0b01}
-        assert list(fam.columns) == [0, 1, 2]
+        assert fam.columns == [0b01, 0b10, 0b01]
+        # masks and columns are over the positions of the held labels
+        gapped = SetFamily(9, ((2, 8), (5,)))
+        assert gapped.labels == (2, 5, 8)
+        assert gapped.masks == fam.masks
+        assert gapped.columns == fam.columns
+        assert gapped.labels_of(0b101) == (2, 8)
+        assert gapped.labels_of(0) == ()
 
     def test_immutable(self):
         fam = SetFamily(3, ((0, 2), (1,)))
@@ -269,7 +276,8 @@ class TestFindSunflower:
         fam = SetFamily.from_sets(3, [[0, 1], [0, 1], [0, 1]], multifamily=True)
         s = find_sunflower(fam, 3)
         assert s is not None and s.core == (0, 1)
-        assert find_sunflower(fam, 3, distinct_only=True) is None
+        distinct, _ = fam.distinct()
+        assert find_sunflower(distinct, 3) is None
 
     def test_empty_members_can_be_petals(self):
         fam = SetFamily.from_sets(4, [[], [0, 1], [2, 3]])
@@ -301,8 +309,12 @@ class TestFindSunflower:
         rng = random.Random(99)
         for _ in range(60):
             fam = random_family(rng, max_m=8, max_n=6, multifamily=True)
-            got = find_sunflower(fam, 3, distinct_only=True)
+            distinct, kept = fam.distinct()
+            got = find_sunflower(distinct, 3)
             assert (got is not None) == brute_has_sunflower(fam, 3, distinct_only=True)
+            if got is not None:
+                indices = tuple(kept[i] for i in got.member_indices)
+                assert Sunflower(got.core, indices).holds_in(fam)
 
     def test_budget_aborts_pinned(self):
         # the unions of one edge from each of two disjoint 5-cycles have no
@@ -745,10 +757,24 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _relabel_tree(tree, label):
+    """``tree`` with each node's element e renamed ``label[e]``."""
+    if tree is None or tree.is_leaf():
+        return tree
+    left, right = _relabel_tree(tree.left, label), _relabel_tree(tree.right, label)
+    return ShatterTree.node(label[tree.element], left, right)
+
+
 class TestDeclaredGround:
     def test_unheld_elements_change_nothing(self, small_corpus):
         # declaring 50 elements that no member holds changes no answer; only
-        # the frequency profile grows, by 50 zeros
+        # the frequency profile grows, by 50 zeros.  Nor does renaming each
+        # element e to label[e], increasing and up to the largest ground a
+        # family may declare: every search opens the same nodes, so at a
+        # fixed budget it aborts alike or gives the renamed answer
+        rng = random.Random(40)
+        top = 2**32 - 1
+        aborted = 0
         for fam in small_corpus:
             wide = SetFamily(fam.ground_size + 50, fam.members, fam.multifamily)
             assert len(wide.columns) == len(fam.columns) <= fam.ground_size
@@ -770,6 +796,40 @@ class TestDeclaredGround:
                 want = element_frequencies(fam).fractions + (0,) * 50
                 assert element_frequencies(wide).fractions == want
 
+            label = sorted(rng.sample(range(top), fam.ground_size))
+
+            def relabel(elems):
+                return tuple(label[e] for e in elems)
+
+            def relabel_tree(out):
+                return out[0], _relabel_tree(out[1], label)
+
+            far = SetFamily(top, tuple(relabel(mem) for mem in fam.members), fam.multifamily)
+            assert far.labels == relabel(fam.labels)
+            assert far.masks == fam.masks and far.columns == fam.columns
+            for fn, args, rename in (
+                (lambda_number, (), None),
+                (vc_dimension, (), lambda out: (out[0], relabel(out[1]))),
+                (ls_dimension, (), relabel_tree),
+                (ls_dimension_tree, (ls,), relabel_tree),
+                (ls_dimension_tree, (ls + 1,), relabel_tree),
+                (packing_number, (), None),
+                (transversal_number, (), lambda out: out._replace(witness=relabel(out.witness))),
+                (find_sunflower, (3,), lambda out: out._replace(core=relabel(out.core))),
+                (count_sunflower_tuples, (3,), None),
+            ):
+                want = _outcome(partial(fn, budget=6), fam, *args)
+                aborted += want is BudgetExceededError
+                if rename is not None and want is not None and not isinstance(want, type):
+                    want = rename(want)
+                assert _outcome(partial(fn, budget=6), far, *args) == want
+            assert _outcome(dual_family, far) == _outcome(dual_family, fam)
+            popular = _outcome(popular_element, fam)
+            if not isinstance(popular, type):
+                popular = (label[popular[0]], popular[1])
+            assert _outcome(popular_element, far) == popular
+        assert aborted  # the budget is small enough to stop some searches
+
     def test_held_large_labels(self):
         # a member holding label 2,999,999: the column table has the held
         # elements only, and every answer is that of the family with the
@@ -780,24 +840,19 @@ class TestDeclaredGround:
         def relabel(elems):
             return tuple(label[e] for e in elems)
 
-        def relabel_tree(tree):
-            if tree is None or tree.is_leaf():
-                return tree
-            left, right = relabel_tree(tree.left), relabel_tree(tree.right)
-            return ShatterTree.node(label[tree.element], left, right)
-
         for members in (((0, 3), (1, 2)), ((0, 3), (1, 3), (2, 3))):
             small = SetFamily(4, members)
             fam = SetFamily(big + 1, tuple(relabel(mem) for mem in members))
-            assert fam.columns == {label[e]: col for e, col in small.columns.items()}
-            assert list(fam.columns) == [0, 1, 2, big]
+            assert fam.labels == (0, 1, 2, big)
+            assert fam.masks == small.masks
+            assert fam.columns == small.columns
             vc, shattered = vc_dimension(small)
             assert vc_dimension(fam) == (vc, relabel(shattered))
             ls, tree = ls_dimension(small)
-            assert ls_dimension(fam) == (ls, relabel_tree(tree))
+            assert ls_dimension(fam) == (ls, _relabel_tree(tree, label))
             for d in (ls, ls + 1):
                 ok, tree = ls_dimension_tree(small, d)
-                assert ls_dimension_tree(fam, d) == (ok, relabel_tree(tree))
+                assert ls_dimension_tree(fam, d) == (ok, _relabel_tree(tree, label))
             assert packing_number(fam) == packing_number(small)
             tau = transversal_number(small)
             assert transversal_number(fam) == TransversalResult(tau.value, relabel(tau.witness))

@@ -19,6 +19,7 @@ from sunflower_lab import (
     GeneralPositionError,
     Halfspace3,
     ParameterError,
+    Sunflower,
     capture_disk,
     find_sunflower,
     gen_k_capturing_disks,
@@ -208,7 +209,11 @@ class TestGenKCapturingDisks:
         rng = random.Random(42)
         pts = grid_points(rng, 15)
         _, fam = gen_k_capturing_disks(pts, k=3, count=300, seed=11)
-        assert find_sunflower(fam, 3, distinct_only=True) is not None
+        distinct, kept = fam.distinct()
+        flower = find_sunflower(distinct, 3)
+        assert flower is not None
+        indices = tuple(kept[i] for i in flower.member_indices)
+        assert Sunflower(flower.core, indices).holds_in(fam)
 
     def test_needs_more_points_than_k(self):
         pts = [point2(0, 0), point2(1, 0)]
