@@ -20,15 +20,19 @@ with F + x, the constraints being hereditary), and re-tests each for what x
 and it break together:
 
 * a new r-sunflower holds both, so its core is x & c, and r - 2 more members
-  meet both in that core with pairwise disjoint petals outside it;
+  meet both in that core with pairwise disjoint petals outside it: the node
+  groups F's members by their trace on x once, and c reads only the group
+  of x & c;
 * a newly shattered (d+1)-set S gets from c the one trace that F + x lacks,
   and x's trace on S is new to F, since otherwise F + c shatters S; so the
   node lists once the sets on which x's trace is new and F + x shows every
   trace but one, and c fails when it shows a listed missing trace;
 * F + c has Littlestone dimension d + 1 only if F has d and, at some
-  element, the side without c reaches d and the side with c reaches d with
-  c: only subfamilies of F are evaluated, on one solver whose memo serves
-  every candidate, its members pushed on the way down, popped on backtrack.
+  element that splits F, the side without c reaches d and the side with c
+  reaches d with c: the node builds one test for all its candidates, which
+  at d = 1 is two ANDs with the elements whose sides reach 1, and only
+  subfamilies of F are evaluated, on one solver whose memo serves every
+  candidate, its members pushed on the way down, popped on backtrack.
 
 The root's one candidate, the first k elements, is not tested: a family of
 one member meets every constraint.
@@ -334,7 +338,6 @@ def extremal_search(
         if members:  # a one-member family meets every constraint
             kept, candidates = [], kept
             last, old, x = members[-1], masks[:-1], masks[-1]
-            full = (1 << len(masks)) - 1
             closing = []
             if kind == "vc_bounded":
                 # a candidate c that shatters a new set shatters one below
@@ -342,18 +345,26 @@ def extremal_search(
                 # members, and with d = 0 ``old`` is empty and c misses an
                 # element of x
                 closing = _closing_traces(old, x, d, used)
+            # the old members' trace groups and the LS cap's test, made
+            # once, when a candidate first needs them
+            groups = grows = None
             for cand in candidates:
                 # a relabelled candidate sorts at or after ``last``, whose
                 # relabelling is itself and which a family holds once
                 if cand == last:
                     continue
                 cmask = mask_of(cand)
-                if _sunflower_with(old, x, cmask, r, checks):
+                if groups is None:
+                    groups = _trace_groups(old, x)
+                if _sunflower_with(groups, x, cmask, r, checks):
                     continue
-                if any(cmask & s == trace for s, trace in closing):
+                if closing and any(cmask & s == trace for s, trace in closing):
                     continue
-                if kind == "ls_bounded" and solver.reaches(full, cmask, d + 1):
-                    continue
+                if kind == "ls_bounded":
+                    if grows is None:
+                        grows = solver.reaches_test((1 << len(masks)) - 1, d + 1)
+                    if grows(cmask):
+                        continue
                 kept.append(cand)
         for i, cand in enumerate(kept):
             cmask = mask_of(cand)
@@ -392,12 +403,24 @@ def extremal_search(
     )
 
 
-def _sunflower_with(masks: Sequence[int], x: int, cand: int, r: int, budget: Budget) -> bool:
-    """Whether ``x``, ``cand`` and ``r - 2`` of ``masks`` form an r-sunflower:
-    its core is ``x & cand``, and the others are members that meet both in
-    exactly that core and have pairwise disjoint petals outside it."""
-    core = x & cand
-    petals = [mk & ~core for mk in masks if mk & x == core and mk & cand == core]
+def _trace_groups(masks: Sequence[int], x: int) -> dict[int, list[int]]:
+    """``masks`` grouped by their trace on ``x``, in order, each member kept
+    as its part outside ``x``."""
+    groups: dict[int, list[int]] = {}
+    for mk in masks:
+        groups.setdefault(mk & x, []).append(mk & ~x)
+    return groups
+
+
+def _sunflower_with(
+    groups: dict[int, list[int]], x: int, cand: int, r: int, budget: Budget
+) -> bool:
+    """Whether ``x``, ``cand`` and ``r - 2`` of the members that ``groups``
+    (:func:`_trace_groups` on ``x``) holds form an r-sunflower: its core is
+    ``x & cand``, and the others are members of that core's group whose
+    petals, their parts outside ``x``, miss ``cand`` and are pairwise
+    disjoint."""
+    petals = [p for p in groups.get(x & cand, ()) if not p & cand]
     return len(petals) >= r - 2 and _disjoint_subset(petals, budget, r - 2) is not None
 
 

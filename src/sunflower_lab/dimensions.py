@@ -7,7 +7,7 @@ recursive split definition on member-selection bitsets with memoization.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
 from .family import SetFamily, mask_of, member_of
@@ -142,55 +142,76 @@ def sauer_shelah_capacity(n: int, d: int, max_bits: int | None = None) -> int:
 _MEMO_LIMIT = 200_000
 
 
+def _by_count(n: int, t: int) -> Optional[bool]:
+    """Whether ``n`` distinct members reach Littlestone dimension ``t``,
+    when their count decides it: fewer than 2^t cannot, and two differ at
+    some element, so they reach 1.  ``None`` when the count does not decide."""
+    if n < 1 << t or t <= 1:
+        return n >= 1 << t
+    return None
+
+
 class LittlestoneSolver:
     """Memoized evaluator of the recursive split definition on member bitsets.
 
     A subfamily is a bitset ``sel`` over the distinct members; its value is 0
     with at most one member, else 1 plus the best min over the two sides,
-    ``sel & cols[e]`` and the rest, of a splitting element e.  ``cols`` is the
-    solver's own column list, up to the highest element a member holds: a
-    copy of the starting family's table, then the elements pushed members
-    bring.  The solver starts from ``family``'s members, which must be
-    distinct, as the positions of ``family.labels``, or from none.  ``push``
-    adds a member at the next index and ``pop`` removes the last, with the
-    memo entries that select it: entries are grouped by their highest
-    member.  The memo holds at most ``_MEMO_LIMIT`` entries in all.
+    ``sel & cols[e]`` and the rest, of a splitting element e: one that some
+    selected member holds and another lacks.  The solver keeps its members'
+    masks and its own column list, up to the highest element a member
+    holds.  It starts from ``family``'s members, which must be distinct, as
+    the positions of ``family.labels``, or from none.  ``push`` adds a
+    member at the next index and ``pop`` removes the last, with the memo
+    entries that select it: entries are grouped by their highest member.
+    The memo holds at most ``_MEMO_LIMIT`` entries in all.
     Every node the solver opens, in any evaluation, is spent from ``budget``.
     """
 
     def __init__(self, budget: Budget, family: SetFamily | None = None):
         self._budget = budget
+        self._masks: list[int] = []
         self._cols: list[int] = []
         self._memo: list[dict[int, int]] = []
         if family is not None:
+            self._masks = list(family.masks)
             self._cols = list(family.columns)
             self._memo = [{} for _ in family.members]
-        self._elems = range(len(self._cols))
         self._memo_size = 0
 
     def push(self, mask: int) -> None:
         """Add ``mask``, which no member equals, as the next member."""
-        bit = 1 << len(self._memo)
+        bit = 1 << len(self._masks)
         cols = self._cols
         cols.extend([0] * (mask.bit_length() - len(cols)))
         for e in member_of(mask):
             cols[e] |= bit
-        self._elems = range(len(cols))
+        self._masks.append(mask)
         self._memo.append({})
 
     def pop(self) -> None:
         """Remove the last member and every memo entry that selects it."""
         self._memo_size -= len(self._memo.pop())
-        keep = ~(1 << len(self._memo))
-        cols = [col & keep for col in self._cols]
+        mask = self._masks.pop()
+        keep = ~(1 << len(self._masks))
+        cols = self._cols
+        for e in member_of(mask):
+            cols[e] &= keep
         while cols and not cols[-1]:
             cols.pop()
-        self._cols = cols
-        self._elems = range(len(cols))
+
+    def _splitting(self, sel: int) -> int:
+        """The elements that split the members selected by ``sel``, as a
+        mask: those in the union of their masks but not in the intersection."""
+        masks = self._masks
+        union, common = 0, -1
+        for i in member_of(sel):
+            union |= masks[i]
+            common &= masks[i]
+        return union & ~common
 
     def value(self, sel: int) -> int:
         """Littlestone dimension of the members selected by ``sel``."""
-        return self._value(sel, self._elems)
+        return self._value(sel, range(len(self._cols)))
 
     def _value(self, sel: int, elems: Iterable[int]) -> int:
         # ``elems`` includes every element that splits ``sel``
@@ -235,27 +256,76 @@ class LittlestoneSolver:
             self._memo_size += 1
         return best
 
+    def _reaches(self, sel: int, t: int) -> bool:
+        """Whether the members selected by ``sel`` reach dimension ``t``:
+        :func:`_by_count`, else :meth:`value`."""
+        known = _by_count(sel.bit_count(), t)
+        return self.value(sel) >= t if known is None else known
+
+    def _settled(self, sel: int, depth: int) -> Optional[bool]:
+        """Whether the members selected by ``sel`` and one more member reach
+        ``depth``, when :func:`_by_count` or ``value(sel)`` decides it: a
+        member adds at most 1, so ``None`` stands for ``value(sel) == depth - 1``."""
+        known = _by_count(sel.bit_count() + 1, depth)
+        if known is None:
+            v = self.value(sel)
+            if v != depth - 1:
+                known = v >= depth
+        return known
+
     def reaches(self, sel: int, cmask: int, depth: int) -> bool:
         """Whether the members selected by ``sel`` and ``cmask``, which none
-        of them equals, reach dimension ``depth``.  A member adds at most 1,
-        so unless ``value(sel)`` is ``depth - 1`` it settles the answer; else
-        an element's side without ``cmask`` must reach ``depth - 1`` and its
-        side with ``cmask`` recurse.  Nothing selecting ``cmask`` is memoized."""
-        if sel.bit_count() + 1 < 1 << depth:  # 2^depth distinct members needed
-            return False
-        if depth <= 1:  # two distinct members split somewhere
-            return True
-        v = self.value(sel)
-        if v != depth - 1:
-            return v >= depth
+        of them equals, reach dimension ``depth``: :meth:`_settled`, else
+        one node is spent and :meth:`_split_reaches` answers.  Nothing
+        selecting ``cmask`` is memoized."""
+        known = self._settled(sel, depth)
+        if known is not None:
+            return known
         self._budget.spend()
+        return self._split_reaches(sel, cmask, depth)
+
+    def _split_reaches(self, sel: int, cmask: int, depth: int) -> bool:
+        # some element e that splits ``sel`` has its side without ``cmask``
+        # reach ``depth - 1`` and its side with it reach ``depth - 1`` with
+        # it; an element that does not split ``sel`` leaves ``cmask`` alone
+        # on a side or with no side.  The first such e answers.
         for e, col in enumerate(self._cols):
-            side, rest = sel & col, sel & ~col
+            side = sel & col
+            rest = sel ^ side
+            if not side or not rest:
+                continue
             if not cmask >> e & 1:
                 side, rest = rest, side
-            if self.value(rest) >= depth - 1 and self.reaches(side, cmask, depth - 1):
+            if self._reaches(rest, depth - 1) and self.reaches(side, cmask, depth - 1):
                 return True
         return False
+
+    def reaches_test(self, sel: int, depth: int) -> Callable[[int], bool]:
+        """``reaches(sel, cmask, depth)`` as a test of ``cmask``, for members
+        that stay fixed while it is used, with the work that does not depend
+        on ``cmask`` done once: :meth:`_settled`, the node spent, and at
+        depth 2 the elements that answer.  There a side with ``cmask`` and a
+        member of ``sel`` reaches 1, so over the elements e that split
+        ``sel``, with ``outside`` the e where ``sel`` minus column e reaches
+        1 (the side without a ``cmask`` that holds e) and ``inside`` the e
+        where ``sel`` and column e do, the test is ``cmask & outside`` or
+        ``~cmask & inside``.  Deeper, each ``cmask`` runs the first-success
+        scan of :meth:`reaches`, whose sides without ``cmask`` the memo
+        keeps for the next."""
+        known = self._settled(sel, depth)
+        if known is not None:
+            return lambda cmask: known
+        self._budget.spend()
+        if depth > 2:
+            return lambda cmask: self._split_reaches(sel, cmask, depth)
+        cols = self._cols
+        outside = inside = 0
+        for e in member_of(self._splitting(sel)):
+            if self._reaches(sel & ~cols[e], 1):
+                outside |= 1 << e
+            if self._reaches(sel & cols[e], 1):
+                inside |= 1 << e
+        return lambda cmask: bool(cmask & outside or ~cmask & inside)
 
     def witness(
         self, sel: int, depth: int, kept: Sequence[int], labels: Sequence[int]
@@ -263,14 +333,13 @@ class LittlestoneSolver:
         """A depth-``depth`` witness tree for the members selected by ``sel``:
         the least element e whose two sides both reach ``depth - 1`` at each
         node, labelled ``labels[e]``, and leaf ``kept[i]`` for the least
-        member i selected."""
+        member i selected.  Only the elements that split ``sel`` are tried."""
         if depth == 0:
             return ShatterTree.leaf(kept[(sel & -sel).bit_length() - 1])
-        for e, col in enumerate(self._cols):
-            inside = sel & col
+        cols = self._cols
+        for e in member_of(self._splitting(sel)):
+            inside = sel & cols[e]
             outside = sel ^ inside
-            if not inside or not outside:
-                continue  # e does not split ``sel``
             if self.value(inside) >= depth - 1 and self.value(outside) >= depth - 1:
                 return ShatterTree.node(
                     labels[e],

@@ -19,7 +19,12 @@ from sunflower_lab import (
     tree_family,
     vc_dimension,
 )
-from sunflower_lab.constructions import _closing_traces, _relabellings, _sunflower_with
+from sunflower_lab.constructions import (
+    _closing_traces,
+    _relabellings,
+    _sunflower_with,
+    _trace_groups,
+)
 from sunflower_lab.dimensions import LittlestoneSolver
 from sunflower_lab.family import _disjoint_subset, mask_of, member_of
 from sunflower_lab.rng import Budget
@@ -304,12 +309,12 @@ EXTREMAL_SUITE = {
         ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2),
          (3, 4), (3, 4), (3, 5), (3, 5), (4, 5), (4, 5)),
     ),
-    ("ls_bounded", 3, 3, 1): (5, 90, 978, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
-    ("ls_bounded", 4, 2, 1): (5, 20, 82, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
+    ("ls_bounded", 3, 3, 1): (5, 90, 302, 8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ("ls_bounded", 4, 2, 1): (5, 20, 40, 6, ((0, 1), (0, 2), (0, 3), (4, 5))),
     ("ls_bounded", 3, 4, 1): (
         6,
         636,
-        21354,
+        2390,
         12,
         ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
     ),
@@ -331,35 +336,39 @@ EXTREMAL_SUITE = {
 }
 
 
-# (kind, r, k, d, ground_cap) -> (exact_value, nodes, max_ground_used,
-# witness members): the ground-cap path and the d = 0 caps
+# (kind, r, k, d, ground_cap) -> (exact_value, nodes, check_nodes,
+# max_ground_used, witness members): the ground-cap path and the d = 0 caps
 EXTREMAL_CAPPED = {
-    ("family", 3, 2, None, 4): (5, 10, 4, ((0, 1), (0, 2), (1, 3), (2, 3))),
+    ("family", 3, 2, None, 4): (5, 10, 4, 4, ((0, 1), (0, 2), (1, 3), (2, 3))),
     ("family", 4, 2, None, 6): (
         10,
         424,
+        148,
         6,
         ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)),
     ),
-    ("vc_bounded", 3, 3, 1, 7): (5, 184, 7, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    ("vc_bounded", 3, 3, 1, 7): (5, 184, 128, 7, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
     ("ls_bounded", 3, 4, 1, 8): (
         6,
         390,
+        867,
         8,
         ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
     ),
-    ("vc_bounded", 3, 2, 0, None): (2, 2, 2, ((0, 1),)),
-    ("ls_bounded", 3, 3, 0, None): (2, 2, 3, ((0, 1, 2),)),
+    ("vc_bounded", 3, 2, 0, None): (2, 2, 0, 2, ((0, 1),)),
+    ("ls_bounded", 3, 3, 0, None): (2, 2, 0, 3, ((0, 1, 2),)),
     # d >= 2: the LS cap's test recurses past the first split
     ("ls_bounded", 3, 3, 2, 6): (
         8,
         2069,
+        1745,
         6,
         ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (1, 2, 4), (1, 3, 4), (2, 3, 4)),
     ),
     ("ls_bounded", 3, 3, 3, 6): (
         11,
         2211,
+        1157,
         6,
         ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
          (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)),
@@ -367,8 +376,19 @@ EXTREMAL_CAPPED = {
     ("ls_bounded", 4, 2, 2, None): (
         11,
         4178,
+        17702,
         12,
         ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)),
+    ),
+    # the d >= 2 case where building the cap's split table at every level,
+    # not only at the top, costs more than it saves
+    ("ls_bounded", 3, 3, 2, 7): (
+        10,
+        22297,
+        59104,
+        7,
+        ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 5),
+         (1, 4, 5), (2, 3, 6), (2, 4, 6), (3, 5, 6)),
     ),
 }
 
@@ -380,10 +400,10 @@ def _repeated(members, times):
 # a multifamily runs the family search: the same nodes, and g = 3(f - 1) + 1
 # at r = 4 with the family witness's members each repeated 3 times
 EXTREMAL_CAPPED[("multifamily", 4, 2, None, None)] = (
-    31, 4178, 12, _repeated(EXTREMAL_SUITE[("family", 4, 2, None)][-1], 3)
+    31, 4178, 7741, 12, _repeated(EXTREMAL_SUITE[("family", 4, 2, None)][-1], 3)
 )
 EXTREMAL_CAPPED[("multifamily", 4, 2, None, 6)] = (
-    28, 424, 6, _repeated(EXTREMAL_CAPPED[("family", 4, 2, None, 6)][-1], 3)
+    28, 424, 148, 6, _repeated(EXTREMAL_CAPPED[("family", 4, 2, None, 6)][-1], 3)
 )
 
 
@@ -409,10 +429,11 @@ class TestExtremalPinned:
     )
     def test_capped_and_d0_case(self, case):
         kind, r, k, d, cap = case
-        value, nodes, ground, witness = EXTREMAL_CAPPED[case]
+        value, nodes, check_nodes, ground, witness = EXTREMAL_CAPPED[case]
         res = extremal_search(kind, r, k, d=d, ground_cap=cap)
         assert res.exact
         assert (res.exact_value, res.nodes, res.max_ground_used) == (value, nodes, ground)
+        assert res.check_nodes == check_nodes
         assert res.witness.members == witness
 
     @pytest.mark.parametrize(
@@ -556,11 +577,13 @@ class TestIncrementalChecks:
     @given(parents_and_member())
     def test_sunflower_with_pair(self, case):
         # the parent is F + x; for a candidate c with F + c sunflower-free,
-        # the pair test answers as the whole-family check on F + x + c
+        # the pair test on F's trace groups on x answers as the whole-family
+        # check on F + x + c
         _, r, _, parent, cand = case
         assume(parent and not _sunflower_through(parent[:-1], cand, r, Budget(None)))
         whole = _sunflower_through(parent, cand, r, Budget(None))
-        assert _sunflower_with(parent[:-1], parent[-1], cand, r, Budget(None)) == whole
+        x = parent[-1]
+        assert _sunflower_with(_trace_groups(parent[:-1], x), x, cand, r, Budget(None)) == whole
 
     @settings(max_examples=300, deadline=None)
     @given(passed_at_parent())

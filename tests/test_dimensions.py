@@ -129,11 +129,19 @@ class TestLsDimension:
         # leaf: the same tree the literal tree route builds
         rng = random.Random(71)
         multi = [random_family(rng, max_m=12, max_n=6, multifamily=True) for _ in range(150)]
-        trees = [tree_family(3, k) for k in range(3, 7)]
+        trees = [tree_family(3, k) for k in range(1, 9)]
         cubes = [power_set_family(2), power_set_family(3)]
         for fam in chain(small_corpus, multi, trees, cubes):
             value, tree = ls_dimension(fam)
             assert tree == ls_dimension_tree(fam, value)[1]
+
+    def test_witness_on_a_wide_tree_family(self):
+        # 2,048 members over 4,095 elements, most of which split no node's
+        # members: the witness tries only the elements that split them
+        fam = tree_family(3, 12)
+        value, tree = ls_dimension(fam)
+        assert value == 11
+        validate_shatter_tree(fam, tree, 11)
 
     @pytest.mark.parametrize("k, least", [(5, 15), (6, 31)])
     def test_budget_aborts_pinned(self, k, least):
@@ -150,36 +158,50 @@ class TestReaches:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 31), st.integers(0, 63), st.integers(0, 4)),
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 31),
+                st.lists(st.integers(0, 63), max_size=4),
+                st.integers(0, 4),
+            ),
             max_size=30,
         )
     )
     # {0}, {2}, {3} and {1}: c alone on its side of element 1
-    @example([(0, 1, 2, 2), (0, 4, 2, 2), (0, 8, 2, 2)])
+    @example([(0, 1, [2], 2), (0, 4, [2], 2), (0, 8, [2], 2)])
     # the square on {0, 1} reaches 2; with {0, 1} replaced by {2} it does
     # not, which a memo entry left from the square would miss
-    @example([(0, 0, 8, 2), (0, 1, 8, 2), (0, 2, 8, 2), (0, 3, 8, 2), (1, 4, 8, 2)])
+    @example([(0, 0, [8], 2), (0, 1, [8], 2), (0, 2, [8], 2), (0, 3, [8], 2), (1, 4, [8], 2)])
     # depth 3, where the side with c must reach 2 with c, not only 1 alone
-    @example([(0, m, 1, 3) for m in (3, 5, 10, 11, 12, 13, 15)])
+    @example([(0, m, [1], 3) for m in (3, 5, 10, 11, 12, 13, 15)])
+    # seven members of dimension 2 and one depth-3 test for four candidates,
+    # of which {3} and {0, 3} reach 3 while {} and {0} do not: no answer
+    # for one candidate may carry over to the next
+    @example([(0, m, [], 3) for m in (4, 11, 15, 17, 18, 19)] + [(0, 31, [8, 0, 9, 1], 3)])
     def test_matches_ls_of_family_plus_member(self, steps):
         # one solver through random steps, each popping up to ``pops``
         # members and pushing ``mask``, then asking whether the members and
-        # ``cmask`` reach ``depth``: ``cmask`` may hold element 5, which no
-        # member holds, and an entry left by a popped member would answer
-        # wrongly
+        # each ``cmask`` reach ``depth``, by ``reaches`` and by one
+        # ``reaches_test`` built for all of them: a ``cmask`` may hold
+        # element 5, which no member holds, and an entry left by a popped
+        # member would answer wrongly
         solver = LittlestoneSolver(Budget(None))
         masks: list[int] = []
-        for pops, mask, cmask, depth in steps:
+        for pops, mask, cmasks, depth in steps:
             for _ in range(min(pops, len(masks))):
                 solver.pop()
                 masks.pop()
             if mask not in masks:
                 solver.push(mask)
                 masks.append(mask)
-            if cmask not in masks:
-                grown = SetFamily(6, tuple(member_of(mk) for mk in masks + [cmask]))
-                want = ls_dimension(grown)[0] >= depth
-                assert solver.reaches((1 << len(masks)) - 1, cmask, depth) == want
+            full = (1 << len(masks)) - 1
+            test = solver.reaches_test(full, depth)
+            for cmask in cmasks:
+                if cmask not in masks:
+                    grown = SetFamily(6, tuple(member_of(mk) for mk in masks + [cmask]))
+                    want = ls_dimension(grown)[0] >= depth
+                    assert solver.reaches(full, cmask, depth) == want
+                    assert test(cmask) == want
 
 
 class TestLsDimensionTree:
