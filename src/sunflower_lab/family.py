@@ -13,10 +13,11 @@ least ones, candidate orders are fixed, and no randomness is involved.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     EmptyFamilyError,
@@ -166,15 +167,12 @@ class SetFamily:
         """The labels of the positions ``mask`` holds, in increasing order."""
         return tuple(self.labels[i] for i in member_of(mask))
 
-    def member_sizes(self) -> tuple[int, ...]:
-        return tuple(len(mem) for mem in self.members)
-
     def max_member_size(self) -> int:
         return max((len(mem) for mem in self.members), default=0)
 
     def is_uniform(self) -> Optional[int]:
         """The common member size if the family is uniform, else ``None``."""
-        sizes = set(self.member_sizes())
+        sizes = {len(mem) for mem in self.members}
         if len(sizes) == 1:
             return sizes.pop()
         return None
@@ -365,16 +363,13 @@ def _least_largest(
     return best
 
 
-def _disjoint_subset(
-    masks: Sequence[int], budget: Budget, size: int | None = None
-) -> Optional[tuple[int, ...]]:
-    """Positions of pairwise disjoint ``masks``: the lexicographically first
-    ``size`` of them (``None`` if there are none), or, without ``size``, the
-    least largest such subset: :func:`_least_largest`, no state, no bound."""
-    total = len(masks)
-    apart: dict[int, int] = {}  # t: the positions above t whose masks miss masks[t]
+def _disjoint_step(masks: Sequence[int]) -> Callable[[object, int, int, int], tuple[None, int]]:
+    """The :func:`_least_largest` step for pairwise disjoint ``masks``: child
+    t keeps the candidates in ``apart[t]``, the later positions whose masks
+    miss ``masks[t]``, a table filled on first use; no state, no bound."""
+    total, apart = len(masks), {}
 
-    def step(state: None, t: int, cand: int, need: int) -> tuple[None, int]:
+    def step(state: object, t: int, cand: int, need: int) -> tuple[None, int]:
         if t not in apart:
             mt, bits = masks[t], 0
             for j in range(t + 1, total):
@@ -383,59 +378,67 @@ def _disjoint_subset(
             apart[t] = bits
         return None, cand & apart[t]
 
+    return step
+
+
+def _disjoint_subset(
+    masks: Sequence[int], budget: Budget, size: int | None = None
+) -> Optional[tuple[int, ...]]:
+    """Positions of pairwise disjoint ``masks``: the lexicographically first
+    ``size`` of them (``None`` if there are none), or, without ``size``, the
+    least largest such subset: :func:`_least_largest` with :func:`_disjoint_step`."""
+    step = _disjoint_step(masks)
     if size is None:
-        return _least_largest(total, step, None, budget)
-    return _least_largest(total, step, None, budget, size, size) or None
+        return _least_largest(len(masks), step, None, budget)
+    return _least_largest(len(masks), step, None, budget, size, size) or None
 
 
-def _sunflower_core_search(
-    masks: Sequence[int], cols: Sequence[int], r: int, budget: Budget
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Exact search for ``r`` members with pairwise-equal intersections.
-
-    Per candidate core, the members holding it (an AND of its ``cols``) must
-    have ``r`` pairwise disjoint petals (members minus core); the first core
-    that does gives the witness ``(core_mask, indices)``, ``None`` if none.
-    A core is skipped before its petal walk when its members fall into
-    fewer than ``r`` stars, no two of whose members can both join: the
-    lowest member left and all holding its petal's lowest element (a member
-    equal to the core is a star of its own).
-    """
+def _sunflower_cores(
+    masks: Sequence[int], cols: Sequence[int], r: int, spared: Container[int] = ()
+) -> Iterator[tuple[int, int]]:
+    """Each candidate core of ``masks``, least first, with ``held``, the
+    masks holding it (an AND of its ``cols``).  A core not in ``spared``
+    needs ``r`` disjoint petals (members minus core), so it is skipped when
+    its members fall into fewer than ``r`` stars, no two of whose members
+    can both join: the lowest member left and all holding its petal's
+    lowest element (a member equal to the core is a star of its own)."""
     for core in _candidate_cores(masks):
         held = (1 << len(masks)) - 1
         for e in member_of(core):
             held &= cols[e]
-        rest, stars = held, 0
-        while rest and stars < r:
-            low = rest & -rest
-            petal = masks[low.bit_length() - 1] & ~core
-            rest &= ~cols[(petal & -petal).bit_length() - 1] if petal else ~low
-            stars += 1
-        if stars < r:
-            continue
-        eligible = member_of(held)
-        found = _disjoint_subset([masks[i] & ~core for i in eligible], budget, r)
-        if found is not None:
-            return core, tuple(eligible[t] for t in found)
-    return None
+        if core not in spared:
+            rest, stars = held, 0
+            while rest and stars < r:
+                low = rest & -rest
+                petal = masks[low.bit_length() - 1] & ~core
+                rest &= ~cols[(petal & -petal).bit_length() - 1] if petal else ~low
+                stars += 1
+            if stars < r:
+                continue
+        yield core, held
 
 
 def find_sunflower(family: SetFamily, r: int, budget: int | None = None) -> Optional[Sunflower]:
     """Some ``r``-sunflower of ``family`` (distinct member indices), or ``None``.
 
-    The search is exact and complete: each candidate core, least first, is
-    skipped when its members fall into fewer than ``r`` stars (checked once
-    per core, :func:`_sunflower_core_search`), else its petals are walked.
-    Repeated identical members (legal in a multifamily) are eligible, so
-    ``r`` copies of one set form a sunflower whose core is the set itself;
+    The search is exact and complete: the petals of each core that
+    :func:`_sunflower_cores` keeps are walked, least core first, and the
+    first with ``r`` pairwise disjoint ones gives the witness.  Repeated
+    identical members (legal in a multifamily) are eligible, so ``r``
+    copies of one set form a sunflower whose core is the set itself;
     search ``family.distinct()[0]`` for petals from distinct sets.
 
     ``r=2`` is rejected: any two sets trivially form a 2-sunflower.
     """
     if r < 3:
         raise ParameterError("find_sunflower requires r >= 3 (r = 2 is always satisfiable)")
-    hit = _sunflower_core_search(family.masks, family.columns, r, Budget(budget))
-    return None if hit is None else Sunflower(family.labels_of(hit[0]), hit[1])
+    masks, b = family.masks, Budget(budget)
+    for core, held in _sunflower_cores(masks, family.columns, r):
+        eligible = member_of(held)
+        found = _disjoint_subset([masks[i] & ~core for i in eligible], b, r)
+        if found is not None:
+            return Sunflower(family.labels_of(core), tuple(eligible[t] for t in found))
+    return None
 
 
 def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None) -> int:
@@ -445,55 +448,52 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
     Counted exactly by grouping members into distinct values: a valid tuple is
     either constant, or consists of ``c >= 0`` copies of the common core (when
     the core itself is a member value) together with distinct values whose
-    petals over the core are nonempty and pairwise disjoint.  The disjoint
-    petal subsets are enumerated once per candidate core with their
-    multiplicity weights, on an explicit stack, so ``r`` is not bounded by
-    Python's recursion limit.
+    petals over the core are nonempty and pairwise disjoint.  The cores are
+    :func:`find_sunflower`'s, :func:`_sunflower_cores` over the values, whose
+    star cover skips a core only when it is no value (then only ``r``
+    petals count).  A core's disjoint petal subsets are walked with their
+    weights on an explicit stack, a child's candidates given by
+    :func:`_disjoint_step` as in packing, so ``r`` is not bounded by
+    Python's recursion limit.  A budget counts only these walks' nodes.
     """
     if family.m == 0:
         raise EmptyFamilyError("count_sunflower_tuples needs a nonempty family")
     if r < 2:
         raise ParameterError("count_sunflower_tuples requires r >= 2")
     b = Budget(budget)
-
-    counts: dict[int, int] = {}
-    for mask in family.masks:
-        counts[mask] = counts.get(mask, 0) + 1
-    values = sorted(counts, key=member_of)
-
+    counts = Counter(family.masks)
+    values = list(counts)
     total = sum(c**r for c in counts.values())
 
     # a core's petals are distinct values, so no more of them join one tuple
     most = min(r, len(values))
-    fact = [math.factorial(s) for s in range(most + 1)]
-    for core in _candidate_cores(values):
-        b.spend()
-        petals = [(v & ~core, counts[v]) for v in values if v & core == core and v != core]
-        if not petals:
+    for core, held in _sunflower_cores(values, columns_of(values), r, counts):
+        joining = [values[i] for i in member_of(held) if values[i] != core]
+        if not joining:
             continue
-        # weighted number of s-subsets of pairwise disjoint petals, s = 1..most,
-        # walked depth first; the open node of depth d holds stack[d] =
-        # (next position to try, union of its petals, product of their weights)
+        step = _disjoint_step([v & ~core for v in joining])
+        # weighted number of s-sets of pairwise disjoint petals, s = 1..most, depth
+        # first; stack[d] = (untried petals, product of chosen weights) at depth d
         e = [0] * (most + 1)
         b.spend()
-        stack = [(0, 0, 1)]
+        stack = [((1 << len(joining)) - 1, 1)]
         while stack:
-            pos, used, prod = stack.pop()
-            t = next((t for t in range(pos, len(petals)) if not petals[t][0] & used), None)
-            if t is None:
+            cand, prod = stack[-1]
+            if not cand:
+                stack.pop()
                 continue
-            petal, w = petals[t]
-            stack.append((t + 1, used, prod))
-            e[len(stack)] += prod * w
-            if len(stack) < r:
+            t = (cand & -cand).bit_length() - 1
+            stack[-1] = (cand ^ (1 << t), prod)
+            prod *= counts[joining[t]]
+            e[len(stack)] += prod
+            cand = step(None, t, cand, 1)[1]
+            if cand and len(stack) < r:
                 b.spend()
-                stack.append((t + 1, used | petal, prod * w))
-        # tuples of s petals and c = r - s copies of the core (0**0 == 1, so
-        # c = 0 counts when the core is no member; no other c does then)
-        n_core = counts.get(core, 0)
+                stack.append((cand, prod))
+        # s petals (r!/c! orders), c = r - s core copies; no member core: only c = 0, 0**0 == 1
+        n_core = counts[core]
         for s in range(1 if n_core else r, most + 1):
-            c = r - s
-            total += math.comb(r, c) * fact[s] * n_core**c * e[s]
+            total += math.perm(r, s) * n_core ** (r - s) * e[s]
     return total
 
 

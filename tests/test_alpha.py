@@ -74,9 +74,10 @@ class TestAlphaExact:
         assert alpha_exact(fam, 20_000) == Fraction(3, 3**20_000)
 
     def test_m_pow_r_past_the_bit_cap_refused_before_counting(self):
-        fam = SetFamily.from_sets(4, [[0, 1], [1, 2], [2, 3]])
-        # a zero budget would abort the first counting step; 3^60000 has
-        # 95,098 bits, past the cap though 60,001 bits are all _pow foresees
+        # the member core {0} has petals {1} and {2}, so a zero budget would
+        # abort the first counting step; 3^60000 has 95,098 bits, past the
+        # cap though 60,001 bits are all _pow foresees
+        fam = SetFamily.from_sets(3, [[0], [0, 1], [0, 2]])
         for r in (60_000, BOUND_BIT_CAP):
             with pytest.raises(ParameterError, match="more than 65536 bits") as refused:
                 alpha_exact(fam, r, budget=0)

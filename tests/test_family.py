@@ -371,17 +371,47 @@ class TestCountTuples:
                 assert count_sunflower_tuples(fam, 3) == fam.m
                 found += 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(families(max_m=9, max_n=7, multifamily=True))
+    def test_matches_brute_force_on_multifamilies(self, fam):
+        # repeated values weigh their petals and give a member core its copies
+        if fam.m:
+            for r in (2, 3, 4):
+                assert count_sunflower_tuples(fam, r) == brute_count_tuples(fam, r)
+
+    def test_star_cover_skips_every_tree_core(self):
+        # a tree family is a sunflower-free uniform family: no core is a
+        # value with a petal, and the star cover skips every other core, so
+        # no petal walk opens and only the 2**(k-1) constant tuples count
+        for k in (5, 12):
+            assert count_sunflower_tuples(tree_family(3, k), 3, budget=0) == 2 ** (k - 1)
+
+    def test_budget_aborts_pinned(self):
+        # find_sunflower's two-5-cycle product family: the petal walks of the
+        # cores that survive the star cover open 36 nodes in a fixed order,
+        # so a smaller budget aborts at its (budget + 1)-th node
+        cycle = SetFamily.from_sets(5, [(i, (i + 1) % 5) for i in range(5)])
+        fam = product_family(cycle, cycle)
+        for budget in (0, 1, 10, 35):
+            with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
+                count_sunflower_tuples(fam, 3, budget=budget)
+        for budget in (36, 1000):
+            assert count_sunflower_tuples(fam, 3, budget=budget) == fam.m
+
     def test_deep_tuples_need_no_deep_recursion(self):
-        # the petal subsets of 1,100 disjoint singletons nest 1,100 deep; with
-        # the recursion limit only 50 frames above the current depth, a walk
-        # that recursed once per chosen petal would raise RecursionError
+        # 1,100 disjoint singletons: at r = 2000 they fall into 1,100 < r
+        # stars, so the star cover skips the empty core and no walk opens; at
+        # r = 1,100 its petal subsets nest 1,100 deep, and with the recursion
+        # limit only 50 frames above the current depth, a walk that recursed
+        # once per chosen petal would raise RecursionError
         fam = SetFamily(1100, tuple((e,) for e in range(1100)))
+        assert count_sunflower_tuples(fam, 2000, budget=0) == 1100
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
             with pytest.raises(BudgetExceededError, match=r"\(5001 > 5000 nodes\)"):
-                count_sunflower_tuples(fam, 2000, budget=5000)
+                count_sunflower_tuples(fam, 1100, budget=5000)
         finally:
             sys.setrecursionlimit(limit)
 
