@@ -344,18 +344,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         family, rep = random_lowerbound_family(
             d=ns.d, r=ns.r, k=ns.k, n=ns.n, m=ns.m, seed=ns.seed
         )
-        report.update(
-            d=rep.d,
-            r=rep.r,
-            k=rep.k,
-            seed=rep.seed,
-            n=rep.n,
-            t=rep.t,
-            m_requested=rep.m_requested,
-            m_distinct=rep.m_distinct,
-            used_recipe=rep.used_recipe,
-            notes=list(rep.notes),
-        )
+        report.update(rep._asdict(), notes=list(rep.notes))
     elif ns.kind == "disks":
         scene = read_scene(ns.points)
         if not isinstance(scene, Scene2):

@@ -34,8 +34,12 @@ and it break together:
   subfamilies of F are evaluated, on one solver whose memo serves every
   candidate, its members pushed on the way down, popped on backtrack.
 
-The root's one candidate, the first k elements, is not tested: a family of
-one member meets every constraint.
+Members and candidates are masks from the root down; tuples appear only in
+the witness.  A node lists its candidates least first, with no sort, as each
+passed member's low part (its elements below the parent's ground) with each
+tail from a table the node builds once per tail size.  The root's one
+candidate, the first k elements, is not tested: a family of one member meets
+every constraint.
 
 Multifamilies reduce to families.  An r-sunflower holding two copies of a
 k-set S has core S, so each of its other members contains S and, being a
@@ -53,7 +57,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .dimensions import LittlestoneSolver
 from .errors import BudgetExceededError, InvalidFamilyError, ParameterError
-from .family import Member, SetFamily, _disjoint_subset, columns_of, mask_of
+from .family import Member, SetFamily, _disjoint_subset, columns_of, mask_of, member_of
 from .rng import Budget, seeded_rng
 
 _DESK_MEMBER_LIMIT = 1_000_000
@@ -321,23 +325,21 @@ def extremal_search(
     checks = Budget(None)
     solver = LittlestoneSolver(checks)
     aborted = False
-    best: list[Member] = []
+    best: list[int] = []
     max_ground_used = 0
 
-    def extend(
-        members: list[Member], masks: list[int], used: int, above: int, passed: list[Member]
-    ) -> None:
+    def extend(masks: list[int], used: int, above: int, passed: list[int]) -> None:
         # ``passed``: the candidates that passed at the parent, whose ground
-        # was ``above``, from the newest member on
+        # was ``above``, from the newest member on, in lexicographic order
         nonlocal best, max_ground_used
         budget.spend()
-        if len(members) > len(best):
-            best = members.copy()
+        if len(masks) > len(best):
+            best = masks
         max_ground_used = max(max_ground_used, used)
         kept = _relabellings(passed, above, used, k, ground_cap)
-        if members:  # a one-member family meets every constraint
+        if masks:  # a one-member family meets every constraint
             kept, candidates = [], kept
-            last, old, x = members[-1], masks[:-1], masks[-1]
+            old, x = masks[:-1], masks[-1]
             closing = []
             if kind == "vc_bounded":
                 # a candidate c that shatters a new set shatters one below
@@ -349,35 +351,31 @@ def extremal_search(
             # once, when a candidate first needs them
             groups = grows = None
             for cand in candidates:
-                # a relabelled candidate sorts at or after ``last``, whose
+                # a relabelled candidate sorts at or after ``x``, whose
                 # relabelling is itself and which a family holds once
-                if cand == last:
+                if cand == x:
                     continue
-                cmask = mask_of(cand)
                 if groups is None:
                     groups = _trace_groups(old, x)
-                if _sunflower_with(groups, x, cmask, r, checks):
+                if _sunflower_with(groups, x, cand, r, checks):
                     continue
-                if closing and any(cmask & s == trace for s, trace in closing):
+                if closing and any(cand & s == trace for s, trace in closing):
                     continue
                 if kind == "ls_bounded":
                     if grows is None:
                         grows = solver.reaches_test((1 << len(masks)) - 1, d + 1)
-                    if grows(cmask):
+                    if grows(cand):
                         continue
                 kept.append(cand)
         for i, cand in enumerate(kept):
-            cmask = mask_of(cand)
-            members.append(cand)
             if kind == "ls_bounded":
-                solver.push(cmask)
-            extend(members, masks + [cmask], max(used, cmask.bit_length()), used, kept[i:])
-            members.pop()
+                solver.push(cand)
+            extend(masks + [cand], max(used, cand.bit_length()), used, kept[i:])
             if kind == "ls_bounded":
                 solver.pop()
 
     try:
-        extend([], [], 0, 0, [tuple(range(k))])
+        extend([], 0, 0, [(1 << k) - 1])
     except BudgetExceededError:
         aborted = True
     # ``extend`` reaches itself, and the solver's memo, through its closure:
@@ -385,7 +383,7 @@ def extremal_search(
     # returns rather than at some later cyclic garbage collection
     del extend
 
-    witness = SetFamily(max((mem[-1] + 1 for mem in best), default=0), tuple(best))
+    witness = SetFamily(max(best, default=0).bit_length(), tuple(map(member_of, best)))
     notes = ("node budget exhausted; exact_value is a lower bound",) if aborted else ()
     return ExtremalResult(
         kind=kind,
@@ -454,23 +452,34 @@ def _closing_traces(masks: Sequence[int], x: int, d: int, n: int) -> list[tuple[
 
 
 def _relabellings(
-    passed: Sequence[Member], above: int, used: int, k: int, ground_cap: Optional[int]
-) -> list[Member]:
-    """In lexicographic order, the members in normal form at ground ``used``
-    (some used elements, then a block of fresh ones from ``used``) that give
-    a member of ``passed`` when their elements at or above ``above`` are
-    renamed ``above, above + 1, ...`` in order."""
-    out: list[Member] = []
+    passed: Sequence[int], above: int, used: int, k: int, ground_cap: Optional[int]
+) -> list[int]:
+    """The masks of the members in normal form at ground ``used`` (some used
+    elements, then a block of fresh ones from ``used``) that give a member
+    of ``passed`` when their elements at or above ``above`` are renamed
+    ``above, above + 1, ...`` in order, in lexicographic order of their tuples.
+
+    ``passed`` must be in that order.  Its members, in normal form at
+    ``above``, are each a low part below ``above`` and a block from it, so
+    their low parts differ and one's candidates, its low part with each tail
+    of its table, precede the next one's: the list needs no sort."""
+    spare = k if ground_cap is None else ground_cap - used  # fresh elements allowed
+    below = (1 << above) - 1
+    # high -> the high-sets from ``above`` whose elements from ``used`` on are a block
+    tables: dict[int, list[int]] = {}
+    out: list[int] = []
     for member in passed:
-        low = tuple(e for e in member if e < above)
-        high = k - len(low)
-        for fresh in range(high + 1):
-            if ground_cap is not None and used + fresh > ground_cap:
-                break
-            block = tuple(range(used, used + fresh))
-            for mid in combinations(range(above, used), high - fresh):
-                out.append(low + mid + block)
-    out.sort()
+        low = member & below
+        high = k - low.bit_count()
+        tails = tables.get(high)
+        if tails is None:
+            tails = tables[high] = []
+            for tail in combinations(range(above, used + high), high):
+                mk = mask_of(tail)
+                fresh = mk >> used
+                if not fresh & (fresh + 1) and fresh.bit_length() <= spare:
+                    tails.append(mk)
+        out += [low | tail for tail in tails]
     return out
 
 

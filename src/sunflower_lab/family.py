@@ -451,8 +451,9 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
     petals over the core are nonempty and pairwise disjoint.  The cores are
     :func:`find_sunflower`'s, :func:`_sunflower_cores` over the values, whose
     star cover skips a core only when it is no value (then only ``r``
-    petals count).  A core's disjoint petal subsets are walked with their
-    weights on an explicit stack, a child's candidates given by
+    petals count, and the walk leaves a node whose chosen and untried petals
+    number fewer than ``r``).  A core's disjoint petal subsets are walked
+    with their weights on an explicit stack, a child's candidates given by
     :func:`_disjoint_step` as in packing, so ``r`` is not bounded by
     Python's recursion limit.  A budget counts only these walks' nodes.
     """
@@ -472,6 +473,8 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
         if not joining:
             continue
         step = _disjoint_step([v & ~core for v in joining])
+        n_core = counts[core]
+        need = 0 if n_core else r  # no member core: only r petals count
         # weighted number of s-sets of pairwise disjoint petals, s = 1..most, depth
         # first; stack[d] = (untried petals, product of chosen weights) at depth d
         e = [0] * (most + 1)
@@ -479,7 +482,7 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
         stack = [((1 << len(joining)) - 1, 1)]
         while stack:
             cand, prod = stack[-1]
-            if not cand:
+            if not cand or len(stack) - 1 + cand.bit_count() < need:
                 stack.pop()
                 continue
             t = (cand & -cand).bit_length() - 1
@@ -491,7 +494,6 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
                 b.spend()
                 stack.append((cand, prod))
         # s petals (r!/c! orders), c = r - s core copies; no member core: only c = 0, 0**0 == 1
-        n_core = counts[core]
         for s in range(1 if n_core else r, most + 1):
             total += math.perm(r, s) * n_core ** (r - s) * e[s]
     return total

@@ -347,6 +347,15 @@ EXTREMAL_CAPPED = {
         6,
         ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)),
     ),
+    # k = 3: one node's candidates mix low parts of several sizes
+    ("family", 3, 3, None, 7): (
+        13,
+        39676,
+        24696,
+        7,
+        ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6),
+         (1, 2, 4), (1, 3, 5), (1, 4, 5), (2, 3, 6), (2, 4, 6), (3, 5, 6)),
+    ),
     ("vc_bounded", 3, 3, 1, 7): (5, 184, 128, 7, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
     ("ls_bounded", 3, 4, 1, 8): (
         6,
@@ -544,14 +553,16 @@ def family_below_and_member(draw):
 
 @st.composite
 def passed_at_parent(draw):
-    """Some members in normal form at ``above``, and a child ground ``used``
-    at most ``k`` above it with an optional cap."""
+    """Some members in normal form at ``above``, as masks in lexicographic
+    order of their tuples, and a child ground ``used`` at most ``k`` above it
+    with an optional cap.  Every list the search passes on is in that order,
+    and ``_relabellings`` relies on it to leave its output unsorted."""
     above = draw(st.integers(0, 4))
     k = draw(st.integers(1, 3))
     used = draw(st.integers(above, above + k))
     cap = draw(st.none() | st.integers(used, used + k))
     passed = draw(st.lists(st.sampled_from(_normal_form(above, k)), unique=True))
-    return passed, above, used, k, cap
+    return [mask_of(mem) for mem in sorted(passed)], above, used, k, cap
 
 
 class TestIncrementalChecks:
@@ -591,8 +602,9 @@ class TestIncrementalChecks:
         # a child's candidates are the normal-form k-sets whose relabelling
         # at the parent's ground passed there
         passed, above, used, k, cap = case
-        lookup = {mask_of(mem) for mem in passed}
-        want = [c for c in _normal_form(used, k, cap) if _canon(mask_of(c), above) in lookup]
+        lookup = set(passed)
+        normal = map(mask_of, _normal_form(used, k, cap))
+        want = [c for c in normal if _canon(c, above) in lookup]
         assert _relabellings(passed, above, used, k, cap) == want
 
     @settings(max_examples=300, deadline=None)

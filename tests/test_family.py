@@ -1,4 +1,5 @@
 import inspect
+import math
 import pickle
 import random
 import sys
@@ -403,15 +404,18 @@ class TestCountTuples:
         # stars, so the star cover skips the empty core and no walk opens; at
         # r = 1,100 its petal subsets nest 1,100 deep, and with the recursion
         # limit only 50 frames above the current depth, a walk that recursed
-        # once per chosen petal would raise RecursionError
+        # once per chosen petal would raise RecursionError.  The empty core is
+        # no member, so only the one 1,100-petal path counts: a node whose
+        # chosen and untried petals fall below r is left at once
         fam = SetFamily(1100, tuple((e,) for e in range(1100)))
         assert count_sunflower_tuples(fam, 2000, budget=0) == 1100
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
-            with pytest.raises(BudgetExceededError, match=r"\(5001 > 5000 nodes\)"):
-                count_sunflower_tuples(fam, 1100, budget=5000)
+            assert count_sunflower_tuples(fam, 1100, budget=1100) == math.factorial(1100) + 1100
+            with pytest.raises(BudgetExceededError, match=r"\(1100 > 1099 nodes\)"):
+                count_sunflower_tuples(fam, 1100, budget=1099)
         finally:
             sys.setrecursionlimit(limit)
 
