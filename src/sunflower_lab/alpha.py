@@ -431,8 +431,9 @@ class FamilyAnalysis:
     def sunflower(self, r: int) -> Optional[Sunflower]:
         """The r-sunflower :func:`find_sunflower` finds.  Any r members of an
         (r+1)-sunflower form an r-sunflower, so a smaller sunflower-free r
-        answers r without a search (which could not abort: it opens a subset of
-        the nodes of the smaller r's search, which ran to the end)."""
+        answers r without a search (which could not abort: it spends the same
+        set-up of the cores and opens a subset of the nodes of the smaller r's
+        petal walks, and that search ran to the end)."""
         if r not in self._flowers:
             free = any(s < r and hit is None for s, hit in self._flowers.items())
             self._flowers[r] = None if free else find_sunflower(self.family, r, budget=self.budget)

@@ -1,8 +1,9 @@
 """Exact VC and Littlestone dimension.
 
-``vc_dimension`` ascends through shattered-set sizes apriori-style, testing
-candidates with per-element member bitmasks.  ``ls_dimension`` evaluates the
-recursive split definition on member-selection bitsets with memoization.
+``vc_dimension`` finds the least largest shattered set on the walk that
+packing, the petal search and lambda share, splitting member-selection
+bitsets by element columns.  ``ls_dimension`` evaluates the recursive split
+definition on member-selection bitsets with memoization.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
-from .family import SetFamily, mask_of, member_of
+from .family import SetFamily, _least_largest, mask_of, member_of
 from .rng import Budget
 
 
@@ -55,55 +56,35 @@ class ShatterTree(NamedTuple):
 def vc_dimension(family: SetFamily, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact VC dimension with the lexicographically least shattered witness.
 
-    Duplicate members never change shattering and are collapsed first.  The
-    empty family reports 0 by convention.
+    Duplicate members never change shattering and are collapsed first.
+    Shattering is hereditary, so :func:`_least_largest` finds the witness
+    among the positions whose column splits the m members.  A node's state
+    is its members grouped by their trace on its set, the part holding all
+    of the set first; a later position joins when its column splits every
+    part, and only positions some member of that first part holds are
+    tried.  A set of floor(log2 m) positions, the most that m members can
+    shatter, returns at once.  The empty family reports 0 by convention.
     """
     distinct, _ = family.distinct()
-    masks, cols, b = distinct.masks, distinct.columns, Budget(budget)
-    md = len(masks)
-    full = (1 << md) - 1
+    masks, cols = distinct.masks, distinct.columns
+    full = (1 << len(masks)) - 1
 
-    def shattered(elems: tuple[int, ...]) -> bool:
-        b.spend()
-        parts = [full]
-        for e in elems:
-            ce = cols[e]
-            nxt = []
-            for p in parts:
-                a = p & ce
-                c = p & ~ce
-                if a == 0 or c == 0:
-                    return False
-                nxt.append(a)
-                nxt.append(c)
-            parts = nxt
-        return True
+    def step(parts: list[int], t: int, cand: int, need: int) -> tuple[list[int], int]:
+        ct = cols[t]
+        parts = [p & ct for p in parts] + [p & ~ct for p in parts]
+        held = 0
+        for i in member_of(parts[0]):
+            held |= masks[i]
+        joins = 0
+        for u in member_of(cand & held):
+            cu = cols[u]
+            if all(p & cu and p & ~cu for p in parts):
+                joins |= 1 << u
+        return parts, joins
 
-    # level-by-level ascent: a set can be shattered only if all its subsets
-    # are, and only by elements of the members containing it (its all-in trace)
-    level: list[tuple[int, ...]] = [()]
-    best: tuple[int, ...] = ()
-    max_d = md.bit_length() - 1  # 2^d distinct traces need m >= 2^d
-    while len(best) < max_d:
-        prev = set(level)
-        nxt: list[tuple[int, ...]] = []
-        for t in level:
-            lo = t[-1] + 1 if t else 0
-            holders = full
-            for e in t:
-                holders &= cols[e]
-            elems = 0
-            for i in member_of(holders):
-                elems |= masks[i]
-            for v in member_of(elems >> lo):
-                cand = t + (v + lo,)
-                if all(cand[:i] + cand[i + 1:] in prev for i in range(len(cand) - 1)):
-                    if shattered(cand):
-                        nxt.append(cand)
-        if not nxt:
-            break
-        level = nxt
-        best = level[0]
+    root = mask_of(e for e, col in enumerate(cols) if col != full)
+    most = len(masks).bit_length() - 1  # 2^d distinct traces need m >= 2^d
+    best = _least_largest(root, step, [full], Budget(budget), most=most)
     return len(best), distinct.labels_of(mask_of(best))
 
 

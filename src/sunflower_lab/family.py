@@ -307,26 +307,32 @@ def _common_core(masks: Sequence[int]) -> Optional[int]:
     return core
 
 
-def _candidate_cores(values: Iterable[int]) -> list[int]:
+def _candidate_cores(values: Iterable[int], budget: Budget) -> list[int]:
     """``values`` and their pairwise intersections, distinct, in ``member_of`` order.
     Every sunflower's core is among them: it is the intersection of two of its
-    members, which are two distinct values or two copies of one."""
-    distinct = set(values)
-    cores = distinct.union(a & b for a, b in combinations(distinct, 2))
+    members, which are two distinct values or two copies of one.  One node of
+    ``budget`` is spent per distinct value, before its intersections with the
+    later values are added."""
+    distinct = list(set(values))
+    cores = set(distinct)
+    for i, a in enumerate(distinct):
+        budget.spend()
+        cores.update([a & b for b in distinct[i + 1:]])
     return sorted(cores, key=member_of)
 
 
 def _least_largest(
-    total: int,
+    cand: int,
     step: Callable[[object, int, int, int], tuple[object, int]],
     root: object,
     budget: Budget,
     least: int = 1,
     most: int | None = None,
 ) -> tuple[int, ...]:
-    """The lexicographically least largest set of positions ``0..total-1``
-    with a hereditary property, between ``least`` and ``most`` positions;
-    ``()`` if no set reaches ``least``.
+    """The lexicographically least largest set of the positions in the
+    bitset ``cand`` with a hereditary property, between ``least`` and
+    ``most`` positions; ``()`` if no set reaches ``least``.  Each position
+    of ``cand`` must have the property on its own.
 
     Depth first on an explicit stack of nodes ``(chosen, state, cand)``,
     ``cand`` the bitset of the untried later positions allowed to join
@@ -339,8 +345,8 @@ def _least_largest(
     far.  A set of ``most`` positions returns at once."""
     goal = least
     best: tuple[int, ...] = ()
-    stack = [((), root, (1 << total) - 1)]
-    if total >= goal:
+    stack = [((), root, cand)]
+    if cand.bit_count() >= goal:
         budget.spend()
     while stack:
         chosen, state, cand = stack[-1]
@@ -387,22 +393,23 @@ def _disjoint_subset(
     """Positions of pairwise disjoint ``masks``: the lexicographically first
     ``size`` of them (``None`` if there are none), or, without ``size``, the
     least largest such subset: :func:`_least_largest` with :func:`_disjoint_step`."""
-    step = _disjoint_step(masks)
+    step, every = _disjoint_step(masks), (1 << len(masks)) - 1
     if size is None:
-        return _least_largest(len(masks), step, None, budget)
-    return _least_largest(len(masks), step, None, budget, size, size) or None
+        return _least_largest(every, step, None, budget)
+    return _least_largest(every, step, None, budget, size, size) or None
 
 
 def _sunflower_cores(
-    masks: Sequence[int], cols: Sequence[int], r: int, spared: Container[int] = ()
+    masks: Sequence[int], cols: Sequence[int], r: int, budget: Budget, spared: Container[int] = ()
 ) -> Iterator[tuple[int, int]]:
     """Each candidate core of ``masks``, least first, with ``held``, the
-    masks holding it (an AND of its ``cols``).  A core not in ``spared``
-    needs ``r`` disjoint petals (members minus core), so it is skipped when
-    its members fall into fewer than ``r`` stars, no two of whose members
-    can both join: the lowest member left and all holding its petal's
-    lowest element (a member equal to the core is a star of its own)."""
-    for core in _candidate_cores(masks):
+    masks holding it (an AND of its ``cols``); :func:`_candidate_cores`
+    spends from ``budget`` before the first is yielded.  A core not in
+    ``spared`` needs ``r`` disjoint petals (members minus core), so it is
+    skipped when its members fall into fewer than ``r`` stars, no two of
+    whose members can both join: the lowest member left and all holding its
+    petal's lowest element (a member equal to the core is a star of its own)."""
+    for core in _candidate_cores(masks, budget):
         held = (1 << len(masks)) - 1
         for e in member_of(core):
             held &= cols[e]
@@ -423,17 +430,19 @@ def find_sunflower(family: SetFamily, r: int, budget: int | None = None) -> Opti
 
     The search is exact and complete: the petals of each core that
     :func:`_sunflower_cores` keeps are walked, least core first, and the
-    first with ``r`` pairwise disjoint ones gives the witness.  Repeated
-    identical members (legal in a multifamily) are eligible, so ``r``
-    copies of one set form a sunflower whose core is the set itself;
-    search ``family.distinct()[0]`` for petals from distinct sets.
+    first with ``r`` pairwise disjoint ones gives the witness.  A budget
+    counts the set-up of the cores, one node per distinct member, and then
+    the nodes of the petal walks.  Repeated identical members (legal in a
+    multifamily) are eligible, so ``r`` copies of one set form a sunflower
+    whose core is the set itself; search ``family.distinct()[0]`` for
+    petals from distinct sets.
 
     ``r=2`` is rejected: any two sets trivially form a 2-sunflower.
     """
     if r < 3:
         raise ParameterError("find_sunflower requires r >= 3 (r = 2 is always satisfiable)")
     masks, b = family.masks, Budget(budget)
-    for core, held in _sunflower_cores(masks, family.columns, r):
+    for core, held in _sunflower_cores(masks, family.columns, r, b):
         eligible = member_of(held)
         found = _disjoint_subset([masks[i] & ~core for i in eligible], b, r)
         if found is not None:
@@ -455,7 +464,8 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
     number fewer than ``r``).  A core's disjoint petal subsets are walked
     with their weights on an explicit stack, a child's candidates given by
     :func:`_disjoint_step` as in packing, so ``r`` is not bounded by
-    Python's recursion limit.  A budget counts only these walks' nodes.
+    Python's recursion limit.  A budget counts the set-up of the cores, one
+    node per distinct value, and then these walks' nodes.
     """
     if family.m == 0:
         raise EmptyFamilyError("count_sunflower_tuples needs a nonempty family")
@@ -468,7 +478,7 @@ def count_sunflower_tuples(family: SetFamily, r: int, budget: int | None = None)
 
     # a core's petals are distinct values, so no more of them join one tuple
     most = min(r, len(values))
-    for core, held in _sunflower_cores(values, columns_of(values), r, counts):
+    for core, held in _sunflower_cores(values, columns_of(values), r, b, counts):
         joining = [values[i] for i in member_of(held) if values[i] != core]
         if not joining:
             continue
@@ -644,7 +654,7 @@ def lambda_number(
         raise ParameterError("lambda cap must be >= 1")
     m = family.m
     step = partial(_pair_witness_step, family.masks, family.columns)
-    best = _least_largest(m, step, ((), 0, 0, 0), Budget(budget), most=min(cap, m))
+    best = _least_largest((1 << m) - 1, step, ((), 0, 0, 0), Budget(budget), most=min(cap, m))
     cap_hit = len(best) == cap and cap < m
     return LambdaResult(len(best), best, cap, cap_hit)
 

@@ -386,10 +386,10 @@ class TestAnalyze:
             rows = "".join(f"3: {i} {i + 60} {label}\n" for i in range(60))
             f.write_text(f"setfam 1 {label + 1} 60\n{rows}", encoding="ascii")
             with pytest.raises(BudgetExceededError):
-                _analyze_file(str(f), 3, 8, 180)
+                _analyze_file(str(f), 3, 8, 63)
             tracemalloc.start()
             try:
-                res = _analyze_file(str(f), 3, 8, 181)
+                res = _analyze_file(str(f), 3, 8, 64)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -12,6 +12,7 @@ from sunflower_lab import (
     SetFamily,
     ls_dimension,
     pad_to_uniform,
+    random_lowerbound_family,
     sauer_shelah_capacity,
     tree_family,
     vc_dimension,
@@ -70,11 +71,15 @@ class TestVcDimension:
             fam = random_family(rng, max_m=12, max_n=6, multifamily=it % 2 == 0)
             assert vc_dimension(fam)[1] == brute_least_shattered(fam)
 
-    @pytest.mark.parametrize("k, least", [(5, 99), (6, 259)])
-    def test_budget_aborts_pinned(self, k, least):
-        # the ascent on tree_family(3, k) tests ``least`` candidate sets in a fixed order:
-        # a smaller budget aborts at its (budget + 1)-th node
-        fam = tree_family(3, k)
+    @pytest.mark.parametrize("name, least", [("power5", 5), ("R40", 39)])
+    def test_budget_aborts_pinned(self, name, least):
+        # the walk on the power set of [5] and on a 40-member random family
+        # opens ``least`` nodes in a fixed order: a smaller budget aborts at
+        # its (budget + 1)-th node
+        if name == "power5":
+            fam = power_set_family(5)
+        else:
+            fam = random_lowerbound_family(3, 3, 5, n=60, m=40, seed=1)[0]
         for budget in (0, 1, least - 1):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 vc_dimension(fam, budget)

@@ -319,22 +319,27 @@ class TestFindSunflower:
 
     def test_budget_aborts_pinned(self):
         # the unions of one edge from each of two disjoint 5-cycles have no
-        # 3-sunflower, but their empty core survives the star cover: its
-        # petal walk opens 31 nodes in a fixed order, so a smaller budget
-        # aborts at its (budget + 1)-th node
+        # 3-sunflower, but their empty core survives the star cover: the
+        # set-up of the cores spends one node per member (25), then the
+        # empty core's petal walk opens 31 nodes in a fixed order, so a
+        # smaller budget aborts at its (budget + 1)-th node
         cycle = SetFamily.from_sets(5, [(i, (i + 1) % 5) for i in range(5)])
         fam = product_family(cycle, cycle)
-        for budget in (1, 10, 30):
+        for budget in (1, 26, 35, 55):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 find_sunflower(fam, 3, budget=budget)
-        for budget in (31, 1000):
+        for budget in (56, 1000):
             assert find_sunflower(fam, 3, budget=budget) is None
 
     def test_star_cover_skips_every_tree_core(self):
         # a tree family's members holding a core fall into at most 2 stars,
-        # one per child of the core's last vertex, so no petal walk opens
+        # one per child of the core's last vertex, so no petal walk opens:
+        # the set-up of the cores, one node per member, is all it spends
         for k in (5, 12):
-            assert find_sunflower(tree_family(3, k), 3, budget=0) is None
+            fam = tree_family(3, k)
+            assert find_sunflower(fam, 3, budget=fam.m) is None
+            with pytest.raises(BudgetExceededError, match=rf"\({fam.m} > {fam.m - 1} nodes\)"):
+                find_sunflower(fam, 3, budget=fam.m - 1)
 
 
 class TestCountTuples:
@@ -383,39 +388,45 @@ class TestCountTuples:
     def test_star_cover_skips_every_tree_core(self):
         # a tree family is a sunflower-free uniform family: no core is a
         # value with a petal, and the star cover skips every other core, so
-        # no petal walk opens and only the 2**(k-1) constant tuples count
+        # no petal walk opens and only the 2**(k-1) constant tuples count:
+        # the set-up of the cores, one node per value, is all it spends
         for k in (5, 12):
-            assert count_sunflower_tuples(tree_family(3, k), 3, budget=0) == 2 ** (k - 1)
+            fam = tree_family(3, k)
+            assert count_sunflower_tuples(fam, 3, budget=fam.m) == 2 ** (k - 1)
+            with pytest.raises(BudgetExceededError, match=rf"\({fam.m} > {fam.m - 1} nodes\)"):
+                count_sunflower_tuples(fam, 3, budget=fam.m - 1)
 
     def test_budget_aborts_pinned(self):
-        # find_sunflower's two-5-cycle product family: the petal walks of the
+        # find_sunflower's two-5-cycle product family: the set-up of the
+        # cores spends one node per value (25), then the petal walks of the
         # cores that survive the star cover open 36 nodes in a fixed order,
         # so a smaller budget aborts at its (budget + 1)-th node
         cycle = SetFamily.from_sets(5, [(i, (i + 1) % 5) for i in range(5)])
         fam = product_family(cycle, cycle)
-        for budget in (0, 1, 10, 35):
+        for budget in (0, 25, 26, 35, 60):
             with pytest.raises(BudgetExceededError, match=rf"\({budget + 1} > {budget} nodes\)"):
                 count_sunflower_tuples(fam, 3, budget=budget)
-        for budget in (36, 1000):
+        for budget in (61, 1000):
             assert count_sunflower_tuples(fam, 3, budget=budget) == fam.m
 
     def test_deep_tuples_need_no_deep_recursion(self):
-        # 1,100 disjoint singletons: at r = 2000 they fall into 1,100 < r
-        # stars, so the star cover skips the empty core and no walk opens; at
+        # 1,100 disjoint singletons, whose set-up of the cores spends 1,100
+        # nodes, one per value: at r = 2000 they fall into 1,100 < r stars,
+        # so the star cover skips the empty core and no walk opens; at
         # r = 1,100 its petal subsets nest 1,100 deep, and with the recursion
         # limit only 50 frames above the current depth, a walk that recursed
         # once per chosen petal would raise RecursionError.  The empty core is
         # no member, so only the one 1,100-petal path counts: a node whose
         # chosen and untried petals fall below r is left at once
         fam = SetFamily(1100, tuple((e,) for e in range(1100)))
-        assert count_sunflower_tuples(fam, 2000, budget=0) == 1100
+        assert count_sunflower_tuples(fam, 2000, budget=1100) == 1100
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
         try:
-            assert count_sunflower_tuples(fam, 1100, budget=1100) == math.factorial(1100) + 1100
-            with pytest.raises(BudgetExceededError, match=r"\(1100 > 1099 nodes\)"):
-                count_sunflower_tuples(fam, 1100, budget=1099)
+            assert count_sunflower_tuples(fam, 1100, budget=2200) == math.factorial(1100) + 1100
+            with pytest.raises(BudgetExceededError, match=r"\(2200 > 2199 nodes\)"):
+                count_sunflower_tuples(fam, 1100, budget=2199)
         finally:
             sys.setrecursionlimit(limit)
 
