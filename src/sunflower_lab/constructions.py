@@ -26,7 +26,10 @@ and it break together:
 * a newly shattered (d+1)-set S gets from c the one trace that F + x lacks,
   and x's trace on S is new to F, since otherwise F + c shatters S; so the
   node lists once the sets on which x's trace is new and F + x shows every
-  trace but one, and c fails when it shows a listed missing trace;
+  trace but one, and c fails when it shows a listed missing trace: per
+  trace pattern, a bitset over the (d+1)-sets marks where F shows it, a
+  child adds its new member's patterns to its parent's, and bitset logic
+  gives the listed sets;
 * F + c has Littlestone dimension d + 1 only if F has d and, at some
   element that splits F, the side without c reaches d and the side with c
   reaches d with c: the node builds one test for all its candidates, which
@@ -35,11 +38,13 @@ and it break together:
   candidate, its members pushed on the way down, popped on backtrack.
 
 Members and candidates are masks from the root down; tuples appear only in
-the witness.  A node lists its candidates least first, with no sort, as each
+the witness.  Candidates are listed least first, with no sort, as each
 passed member's low part (its elements below the parent's ground) with each
-tail from a table the node builds once per tail size.  The root's one
-candidate, the first k elements, is not tested: a family of one member meets
-every constraint.
+tail from a table the search builds once per ground pair and tail size.
+Child i's list comes from the members that passed from i on, so a node
+builds one list for the children on each ground and hands each child its
+suffix.  The root's one candidate, the first k elements, is not tested: a
+family of one member meets every constraint.
 
 Multifamilies reduce to families.  An r-sunflower holding two copies of a
 k-set S has core S, so each of its other members contains S and, being a
@@ -57,7 +62,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .dimensions import LittlestoneSolver
 from .errors import BudgetExceededError, InvalidFamilyError, ParameterError
-from .family import Member, SetFamily, _disjoint_subset, columns_of, mask_of, member_of
+from .family import Member, SetFamily, _disjoint_subset, mask_of, member_of
 from .rng import Budget, seeded_rng
 
 _DESK_MEMBER_LIMIT = 1_000_000
@@ -324,32 +329,29 @@ def extremal_search(
     # the per-candidate checks count their own nodes, apart from ``nodes``
     checks = Budget(None)
     solver = LittlestoneSolver(checks)
+    table = _TraceTable(d) if kind == "vc_bounded" else None
+    tails: dict[tuple[int, int, int], list[int]] = {}  # see _relabellings
     aborted = False
     best: list[int] = []
     max_ground_used = 0
 
-    def extend(masks: list[int], used: int, above: int, passed: list[int]) -> None:
-        # ``passed``: the candidates that passed at the parent, whose ground
-        # was ``above``, from the newest member on, in lexicographic order
+    def extend(masks: list[int], used: int, candidates: list[int], seen: tuple) -> None:
+        # ``candidates``: the members in normal form at ground ``used`` whose
+        # relabelling passed at the parent, in lexicographic order; ``seen``:
+        # in a VC search, the trace table of ``masks[:-1]`` (see _TraceTable)
         nonlocal best, max_ground_used
         budget.spend()
         if len(masks) > len(best):
             best = masks
         max_ground_used = max(max_ground_used, used)
-        kept = _relabellings(passed, above, used, k, ground_cap)
+        kept = candidates
+        shown = seen  # the trace table of ``masks`` once a VC node builds it
         if masks:  # a one-member family meets every constraint
-            kept, candidates = [], kept
+            kept = []
             old, x = masks[:-1], masks[-1]
-            closing = []
-            if kind == "vc_bounded":
-                # a candidate c that shatters a new set shatters one below
-                # ``used``: with d >= 1 each of its elements lies in two
-                # members, and with d = 0 ``old`` is empty and c misses an
-                # element of x
-                closing = _closing_traces(old, x, d, used)
-            # the old members' trace groups and the LS cap's test, made
-            # once, when a candidate first needs them
-            groups = grows = None
+            # the old members' trace groups, the VC closing sets and the LS
+            # cap's test, made once, when a candidate first needs them
+            groups = closing = grows = None
             for cand in candidates:
                 # a relabelled candidate sorts at or after ``x``, whose
                 # relabelling is itself and which a family holds once
@@ -359,23 +361,37 @@ def extremal_search(
                     groups = _trace_groups(old, x)
                 if _sunflower_with(groups, x, cand, r, checks):
                     continue
-                if closing and any(cand & s == trace for s, trace in closing):
-                    continue
+                if kind == "vc_bounded":
+                    # a candidate c that shatters a new set shatters one
+                    # below ``used``: with d >= 1 each of its elements lies
+                    # in two members, and with d = 0 ``old`` is empty and c
+                    # misses an element of x
+                    if closing is None:
+                        shown, closing = table.closing(masks, used, seen)
+                    if any(cand & s == trace for s, trace in closing):
+                        continue
                 if kind == "ls_bounded":
                     if grows is None:
                         grows = solver.reaches_test((1 << len(masks)) - 1, d + 1)
                     if grows(cand):
                         continue
                 kept.append(cand)
+        # the children on one ground take suffixes of one list: child ground
+        # -> (its first child, that list, where each member's block starts)
+        lists: dict[int, tuple[int, list[int], list[int]]] = {}
         for i, cand in enumerate(kept):
+            ground = max(used, cand.bit_length())
+            if ground not in lists:
+                lists[ground] = (i, *_relabellings(kept[i:], used, ground, k, ground_cap, tails))
+            first, relabelled, starts = lists[ground]
             if kind == "ls_bounded":
                 solver.push(cand)
-            extend(masks + [cand], max(used, cand.bit_length()), used, kept[i:])
+            extend(masks + [cand], ground, relabelled[starts[i - first]:], shown)
             if kind == "ls_bounded":
                 solver.pop()
 
     try:
-        extend([], 0, 0, [(1 << k) - 1])
+        extend([], 0, [(1 << k) - 1], (0, None))
     except BudgetExceededError:
         aborted = True
     # ``extend`` reaches itself, and the solver's memo, through its closure:
@@ -422,65 +438,123 @@ def _sunflower_with(
     return len(petals) >= r - 2 and _disjoint_subset(petals, budget, r - 2) is not None
 
 
-def _closing_traces(masks: Sequence[int], x: int, d: int, n: int) -> list[tuple[int, int]]:
-    """``(s, trace)`` for each (d+1)-subset of ``range(n)``, as a mask ``s``,
-    on which ``x``'s trace is new to ``masks`` and ``masks`` with ``x`` show
-    every trace but one, the missing ``trace``: a member with that trace
-    shatters ``s``."""
-    size = d + 1
-    if len(masks) + 2 < 1 << size:
-        return []  # too few members, with x and one more, for 2^(d+1) traces
-    full = (1 << len(masks)) - 1
-    # per element, the masks that agree with x on it
-    cols = columns_of(masks)
-    cols += [0] * (n - len(cols))
-    agree = [col ^ (0 if x >> e & 1 else full) for e, col in enumerate(cols)]
-    out = []
-    for s in combinations(range(n), size):
-        same = full  # masks whose trace on s is x's
-        for e in s:
-            same &= agree[e]
-        if same:
-            continue
-        smask = mask_of(s)
-        traces = {mk & smask for mk in masks}
-        traces.add(x & smask)
-        if len(traces) == (1 << size) - 1:
-            # each element of s lies in half of the 2^(d+1) traces
-            out.append((smask, (smask << d) - sum(traces)))
-    return out
+class _TraceTable:
+    """The traces of members on the (d+1)-subsets of the ground, as bitsets.
+
+    The subsets are indexed in blocks by their largest element, so those of
+    ``range(n)`` are the first C(n, d+1) at every n and the index grows with
+    the ground the search reaches, renumbering nothing.  A member's pattern
+    on a subset has bit j set when it holds the subset's j-th least element.
+    A table of members is ``(n, shows)``: ``shows[p]`` marks the subsets of
+    ``range(n)`` on which some member has pattern p."""
+
+    __slots__ = ("size", "n", "traces", "holds")
+
+    def __init__(self, d: int):
+        self.size = d + 1
+        self.n = 0
+        self.traces: list[list[int]] = []  # per subset, its trace per pattern
+        # holds[j][e]: the subsets whose j-th least element is e
+        self.holds: list[list[int]] = [[] for _ in range(self.size)]
+
+    def _grow(self, n: int) -> None:
+        for top in range(self.n, n):
+            for col in self.holds:
+                col.append(0)
+            for rest in combinations(range(top), self.size - 1):
+                bit = 1 << len(self.traces)
+                traces = [0]
+                for j, e in enumerate(rest + (top,)):
+                    self.holds[j][e] |= bit
+                    traces += [t | 1 << e for t in traces]
+                self.traces.append(traces)
+        self.n = n
+
+    def _patterns(self, mask: int, n: int) -> list[int]:
+        """Per pattern, the subsets of ``range(n)`` on which ``mask`` (a
+        member below ``n``) has it."""
+        out = [(1 << math.comb(n, self.size)) - 1]
+        elements = member_of(mask)
+        for col in self.holds:
+            hold = 0
+            for e in elements:
+                hold |= col[e]
+            out = [b & ~hold for b in out] + [b & hold for b in out]
+        return out
+
+    def closing(self, masks: Sequence[int], used: int, seen: tuple) -> tuple[tuple, list]:
+        """The table of ``masks`` (members below ``used``), from ``seen``,
+        the table of all but the last, x; and ``(s, trace)`` for each
+        (d+1)-subset of ``range(used)``, as a mask ``s``, on which x's trace
+        is new and ``masks`` show every trace but one, the missing ``trace``:
+        a member with that trace shatters ``s``."""
+        n, shows = seen
+        if n < used:  # a ground past the table: the path's traces anew
+            self._grow(max(self.n, used))
+            n, shows = self.n, [0] * (1 << self.size)
+            for mk in masks[:-1]:
+                shows = [a | b for a, b in zip(shows, self._patterns(mk, n))]
+        ones = self._patterns(masks[-1], n)
+        new = 0
+        for a, b in zip(shows, ones):
+            new |= b & ~a
+        new &= (1 << math.comb(used, self.size)) - 1
+        shows = [a | b for a, b in zip(shows, ones)]
+        # the subsets showing every pattern before p, and every one after
+        before = [new]
+        for b in shows:
+            before.append(before[-1] & b)
+        after = -1
+        out = []
+        for p in range(len(shows) - 1, -1, -1):
+            hits = before[p] & after & ~shows[p]
+            after &= shows[p]
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                traces = self.traces[low.bit_length() - 1]
+                out.append((traces[-1], traces[p]))
+        return (n, shows), out
 
 
 def _relabellings(
-    passed: Sequence[int], above: int, used: int, k: int, ground_cap: Optional[int]
-) -> list[int]:
+    passed: Sequence[int],
+    above: int,
+    used: int,
+    k: int,
+    ground_cap: Optional[int],
+    tables: dict[tuple[int, int, int], list[int]],
+) -> tuple[list[int], list[int]]:
     """The masks of the members in normal form at ground ``used`` (some used
     elements, then a block of fresh ones from ``used``) that give a member
     of ``passed`` when their elements at or above ``above`` are renamed
-    ``above, above + 1, ...`` in order, in lexicographic order of their tuples.
+    ``above, above + 1, ...`` in order, in lexicographic order of their
+    tuples; and the index at which each member's block of them starts.
 
     ``passed`` must be in that order.  Its members, in normal form at
     ``above``, are each a low part below ``above`` and a block from it, so
-    their low parts differ and one's candidates, its low part with each tail
-    of its table, precede the next one's: the list needs no sort."""
+    their low parts differ and one's block, its low part with each tail of
+    ``tables[above, used, high]``, precedes the next one's: the list needs
+    no sort, and the list for ``passed[i:]`` is its suffix from block i."""
     spare = k if ground_cap is None else ground_cap - used  # fresh elements allowed
     below = (1 << above) - 1
-    # high -> the high-sets from ``above`` whose elements from ``used`` on are a block
-    tables: dict[int, list[int]] = {}
     out: list[int] = []
+    starts: list[int] = []
     for member in passed:
         low = member & below
         high = k - low.bit_count()
-        tails = tables.get(high)
+        tails = tables.get((above, used, high))
         if tails is None:
-            tails = tables[high] = []
+            # the high-sets from ``above`` whose elements from ``used`` on are a block
+            tails = tables[above, used, high] = []
             for tail in combinations(range(above, used + high), high):
                 mk = mask_of(tail)
                 fresh = mk >> used
                 if not fresh & (fresh + 1) and fresh.bit_length() <= spare:
                     tails.append(mk)
+        starts.append(len(out))
         out += [low | tail for tail in tails]
-    return out
+    return out, starts
 
 
 def multifamily_identity_report(result: ExtremalResult) -> dict:

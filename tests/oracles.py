@@ -218,6 +218,26 @@ def brute_extremal_multifamily(r: int, k: int, ground_cap: int | None = None):
     return len(best) + 1, best, ground
 
 
+def brute_closing_traces(masks: list[int], x: int, d: int, n: int) -> list[tuple[int, int]]:
+    """``(s, trace)`` for each (d+1)-subset of ``range(n)``, as a mask ``s``,
+    on which ``x``'s trace is new to ``masks`` and ``masks`` with ``x`` show
+    every trace but one, the missing ``trace``: a member with that trace
+    shatters ``s``.  Members are bitmasks; every subset of ``range(n)`` and
+    every trace on it is enumerated."""
+    out = []
+    for s in combinations(range(n), d + 1):
+        smask = sum(1 << e for e in s)
+        traces = {mk & smask for mk in masks}
+        if x & smask in traces:
+            continue
+        traces.add(x & smask)
+        every = {sum(1 << e for e in sub) for size in range(d + 2) for sub in combinations(s, size)}
+        missing = every - traces
+        if len(missing) == 1:
+            out.append((smask, missing.pop()))
+    return out
+
+
 def brute_alpha_monte_carlo(family: SetFamily, r: int, trials: int, seed: int = 0) -> AlphaEstimate:
     """The sampled pairwise-equal-intersection estimate drawn the plain way:
     per chunk of 4096 trials a ``random.Random`` seeded ``alpha-mc/seed/chunk``,

@@ -20,16 +20,16 @@ from sunflower_lab import (
     vc_dimension,
 )
 from sunflower_lab.constructions import (
-    _closing_traces,
     _relabellings,
     _sunflower_with,
     _trace_groups,
+    _TraceTable,
 )
 from sunflower_lab.dimensions import LittlestoneSolver
 from sunflower_lab.family import _disjoint_subset, mask_of, member_of
 from sunflower_lab.rng import Budget
 
-from oracles import brute_extremal_multifamily
+from oracles import brute_closing_traces, brute_extremal_multifamily
 
 
 class TestTreeFamily:
@@ -357,6 +357,23 @@ EXTREMAL_CAPPED = {
          (1, 2, 4), (1, 3, 5), (1, 4, 5), (2, 3, 6), (2, 4, 6), (3, 5, 6)),
     ),
     ("vc_bounded", 3, 3, 1, 7): (5, 184, 128, 7, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+    # d = 2: the closing sets are 3-sets, each with 8 traces
+    ("vc_bounded", 3, 3, 2, 6): (
+        11,
+        2132,
+        1129,
+        6,
+        ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+         (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)),
+    ),
+    # k = 4: members bring fresh elements up to a wider ground
+    ("vc_bounded", 3, 4, 1, 9): (
+        7,
+        4503,
+        3248,
+        9,
+        ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 5), (2, 3, 6, 7), (2, 3, 6, 8)),
+    ),
     ("ls_bounded", 3, 4, 1, 8): (
         6,
         390,
@@ -565,6 +582,46 @@ def passed_at_parent(draw):
     return [mask_of(mem) for mem in sorted(passed)], above, used, k, cap
 
 
+class TestTraceTable:
+    """The closing list each VC node builds from the trace table carried
+    down its path equals the brute-force list of its (d+1)-subsets."""
+
+    @pytest.mark.parametrize(
+        "r, k, d, cap, budget",
+        [
+            (3, 2, 0, None, None),
+            (4, 3, 0, None, None),
+            (3, 3, 1, None, None),
+            (3, 3, 1, 7, None),
+            (4, 2, 1, None, None),
+            (3, 4, 1, None, 1500),
+            (3, 3, 2, 6, None),
+            (3, 4, 2, 7, 1500),
+        ],
+    )
+    def test_closing_at_every_node(self, monkeypatch, r, k, d, cap, budget):
+        build = _TraceTable.closing
+        seen_at = {"built": 0, "fresh": 0, "grown": 0}
+
+        def checked(table, masks, used, seen):
+            out = build(table, masks, used, seen)
+            want = brute_closing_traces(masks[:-1], masks[-1], d, used)
+            assert sorted(out[1]) == sorted(want)
+            ground = max(map(int.bit_length, masks[:-1]), default=0)
+            seen_at["built"] += 1
+            seen_at["fresh"] += ground > 0 and masks[-1].bit_length() > ground
+            seen_at["grown"] += ground > 0 and seen[0] < used
+            return out
+
+        monkeypatch.setattr(_TraceTable, "closing", checked)
+        extremal_search("vc_bounded", r, k, d=d, ground_cap=cap, node_budget=budget)
+        assert seen_at["built"] > 0
+        if d > 0:
+            # a child whose newest member adds fresh elements, and a path
+            # whose table is remade on a ground past it
+            assert seen_at["fresh"] > 0 and seen_at["grown"] > 0
+
+
 class TestIncrementalChecks:
     @settings(max_examples=300, deadline=None)
     @given(parents_and_member())
@@ -580,9 +637,25 @@ class TestIncrementalChecks:
         # shatters a new set exactly when it shows a listed missing trace
         n, _, d, parent, cand = case
         assume(parent and _vc(parent[:-1] + [cand]) <= d)
-        closing = _closing_traces(parent[:-1], parent[-1], d, n)
+        _, closing = _TraceTable(d).closing(parent, n, (0, None))
         shows = any(cand & s == trace for s, trace in closing)
         assert shows == (_vc(parent + [cand]) > d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parents_and_member())
+    def test_closing_down_a_path(self, case):
+        # the tables handed down a path, one member at a time, each node at
+        # the least ground that holds its members, so the table grows; a
+        # first path has already grown it one past the whole ground
+        n, _, d, parent, _ = case
+        table, seen = _TraceTable(d), (0, None)
+        table.closing([(1 << n + 1) - 1], n + 1, seen)
+        for i in range(1, len(parent) + 1):
+            masks = parent[:i]
+            used = max(map(int.bit_length, masks))
+            seen, closing = table.closing(masks, used, seen)
+            want = brute_closing_traces(masks[:-1], masks[-1], d, used)
+            assert sorted(closing) == sorted(want)
 
     @settings(max_examples=300, deadline=None)
     @given(parents_and_member())
@@ -605,7 +678,20 @@ class TestIncrementalChecks:
         lookup = set(passed)
         normal = map(mask_of, _normal_form(used, k, cap))
         want = [c for c in normal if _canon(c, above) in lookup]
-        assert _relabellings(passed, above, used, k, cap) == want
+        assert _relabellings(passed, above, used, k, cap, {})[0] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(passed_at_parent())
+    def test_relabellings_suffix_per_child(self, case):
+        # child i of a node takes the suffix of its siblings' list from
+        # block i, which is the list made from ``passed[i:]`` alone
+        passed, above, used, k, cap = case
+        tables: dict = {}
+        relabelled, starts = _relabellings(passed, above, used, k, cap, tables)
+        assert len(starts) == len(passed)
+        for i in range(len(passed)):
+            alone, _ = _relabellings(passed[i:], above, used, k, cap, tables)
+            assert relabelled[starts[i]:] == alone
 
     @settings(max_examples=300, deadline=None)
     @given(family_below_and_member())
