@@ -22,7 +22,11 @@ and it break together:
 * a new r-sunflower holds both, so its core is x & c, and r - 2 more members
   meet both in that core with pairwise disjoint petals outside it: the node
   groups F's members by their trace on x once, and c reads only the group
-  of x & c;
+  of x & c, its petals those that miss c.  At r = 3 c fails on the first
+  such petal, at r = 4 on the first disjoint pair of them, and from r = 5
+  on a walk finds r - 2 pairwise disjoint ones.  The check nodes spent are
+  the walk's at every r: one for a petal at r = 3; at r = 4 one when two
+  petals miss c and one more for a pair;
 * a newly shattered (d+1)-set S gets from c the one trace that F + x lacks,
   and x's trace on S is new to F, since otherwise F + c shatters S; so the
   node lists once the sets on which x's trace is new and F + x shows every
@@ -57,12 +61,13 @@ multifamily witness (repeating adds no element and keeps the order).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dimensions import LittlestoneSolver
 from .errors import BudgetExceededError, InvalidFamilyError, ParameterError
-from .family import Member, SetFamily, _disjoint_subset, mask_of, member_of
+from .family import _UINT32_MAX, Member, SetFamily, _disjoint_subset, mask_of, member_of
 from .rng import Budget, seeded_rng
 
 _DESK_MEMBER_LIMIT = 1_000_000
@@ -212,16 +217,17 @@ def random_lowerbound_family(
                 "derived parameters need d >= 6, r >= 3, k >= 4d; pass n and m overrides"
             )
     t = (d - 1).bit_length() if d >= 1 else 0
+    exact_n = None
     if n is None:
-        exact_n = k * k * r / (500 * d * math.log2(k))
+        if d < 1 or k < 2:
+            raise ParameterError("deriving n needs d >= 1 and k >= 2; pass an n override")
+        # log2(k) is taken as the exact value of its float, so k^2 r, which a
+        # huge k takes past the float range, is never converted to a float
+        exact_n = Fraction(k * k * r, 500 * d) / Fraction(math.log2(k))
         n = math.floor(exact_n)
-        notes.append(f"n rounded down from {exact_n:.6g} to {n}")
-    if m is None:
-        if n >= 1 and d - t >= 0:
-            m = n ** (d - t) // (k ** (d - t) * n) if n > 0 else 0
-            notes.append(f"m computed as floor(n^(d-t) / (k^(d-t) n)) = {m}")
-        else:
-            m = 0
+    derived_m = m is None
+    if derived_m:
+        m = n ** (d - t) // (k ** (d - t) * n) if n >= 1 and d - t >= 0 else 0
     if n < k or m < 1:
         raise ParameterError(
             f"derived n={n}, m={m} infeasible (need n >= k and m >= 1); "
@@ -229,6 +235,12 @@ def random_lowerbound_family(
         )
     if m > _DESK_MEMBER_LIMIT:
         raise ParameterError(f"m={m} exceeds the desk-scale limit {_DESK_MEMBER_LIMIT}")
+    if n > _UINT32_MAX:
+        raise ParameterError(f"n={n} exceeds the ground range {_UINT32_MAX}")
+    if exact_n is not None:  # below the ground range, so a float holds it
+        notes.append(f"n rounded down from {float(exact_n):.6g} to {n}")
+    if derived_m:
+        notes.append(f"m computed as floor(n^(d-t) / (k^(d-t) n)) = {m}")
 
     rng = seeded_rng("randomlb", seed)
     drawn: list[Member] = []
@@ -301,9 +313,11 @@ def extremal_search(
     Kinds: ``family`` (no constraint), ``multifamily`` (repeats allowed; the
     ``family`` search under the same cap and budget, derived as the module
     docstring shows), ``ls_bounded`` / ``vc_bounded`` (dimension at most
-    ``d``, which no other kind takes).  The first-appearance normal form
-    bounds the ground set by m*k; ``ground_cap`` may tighten it.  On budget
-    exhaustion the best bound found so far is returned flagged inexact.
+    ``d``, which no other kind takes; ``vc_bounded`` with ``d >= k`` is the
+    ``family`` search, as no k-set holds a (d+1)-set).  The first-appearance
+    normal form bounds the ground set by m*k; ``ground_cap`` may tighten it.
+    On budget exhaustion the best bound found so far is returned flagged
+    inexact.
     """
     if kind not in EXTREMAL_KINDS:
         raise ParameterError(f"unknown extremal kind {kind!r}")
@@ -324,6 +338,10 @@ def extremal_search(
         witness = SetFamily(res.witness.ground_size, members, True)
         g = (r - 1) * (res.exact_value - 1) + 1
         return res._replace(kind=kind, exact_value=g, witness=witness)
+    if kind == "vc_bounded" and d >= k:
+        # no k-set holds a (d+1)-set, so no family of k-sets shatters one
+        res = extremal_search("family", r, k, ground_cap=ground_cap, node_budget=node_budget)
+        return res._replace(kind=kind, d=d)
 
     budget = Budget(node_budget)
     # the per-candidate checks count their own nodes, apart from ``nodes``
@@ -349,17 +367,17 @@ def extremal_search(
         if masks:  # a one-member family meets every constraint
             kept = []
             old, x = masks[:-1], masks[-1]
-            # the old members' trace groups, the VC closing sets and the LS
-            # cap's test, made once, when a candidate first needs them
-            groups = closing = grows = None
+            # the sunflower test, the VC closing sets and the LS cap's test,
+            # made once, when a candidate first needs them
+            sunflower = closing = grows = None
             for cand in candidates:
                 # a relabelled candidate sorts at or after ``x``, whose
                 # relabelling is itself and which a family holds once
                 if cand == x:
                     continue
-                if groups is None:
-                    groups = _trace_groups(old, x)
-                if _sunflower_with(groups, x, cand, r, checks):
+                if sunflower is None:
+                    sunflower = _sunflower_test(old, x, r, checks)
+                if sunflower(cand):
                     continue
                 if kind == "vc_bounded":
                     # a candidate c that shatters a new set shatters one
@@ -417,25 +435,52 @@ def extremal_search(
     )
 
 
-def _trace_groups(masks: Sequence[int], x: int) -> dict[int, list[int]]:
-    """``masks`` grouped by their trace on ``x``, in order, each member kept
-    as its part outside ``x``."""
+def _sunflower_test(
+    old: Sequence[int], x: int, r: int, checks: Budget
+) -> Callable[[int], bool]:
+    """Whether ``x``, a candidate c and ``r - 2`` members of ``old`` form an
+    r-sunflower, as a test of c.  Its core is ``x & c``, and the others are
+    members with that trace on ``x`` whose petals, their parts outside
+    ``x``, miss c and are pairwise disjoint: ``old`` is grouped by trace on
+    ``x`` once, and c reads the group of ``x & c``.  The test spends
+    ``checks`` as :func:`_disjoint_subset` on c's petals would: at r = 3 one
+    node when a petal misses c; at r = 4 one when two do, and one more when
+    two of those are disjoint; past that, it is that walk."""
     groups: dict[int, list[int]] = {}
-    for mk in masks:
+    for mk in old:
         groups.setdefault(mk & x, []).append(mk & ~x)
-    return groups
 
+    if r == 3:
 
-def _sunflower_with(
-    groups: dict[int, list[int]], x: int, cand: int, r: int, budget: Budget
-) -> bool:
-    """Whether ``x``, ``cand`` and ``r - 2`` of the members that ``groups``
-    (:func:`_trace_groups` on ``x``) holds form an r-sunflower: its core is
-    ``x & cand``, and the others are members of that core's group whose
-    petals, their parts outside ``x``, miss ``cand`` and are pairwise
-    disjoint."""
-    petals = [p for p in groups.get(x & cand, ()) if not p & cand]
-    return len(petals) >= r - 2 and _disjoint_subset(petals, budget, r - 2) is not None
+        def test(cand: int) -> bool:
+            for p in groups.get(x & cand, ()):
+                if not p & cand:
+                    checks.spend()
+                    return True
+            return False
+
+    elif r == 4:
+
+        def test(cand: int) -> bool:
+            petals = [p for p in groups.get(x & cand, ()) if not p & cand]
+            if len(petals) < 2:
+                return False
+            checks.spend()
+            for i, p in enumerate(petals):
+                for q in petals[i + 1:]:
+                    if not p & q:
+                        checks.spend()
+                        return True
+            return False
+
+    else:
+        need = r - 2
+
+        def test(cand: int) -> bool:
+            petals = [p for p in groups.get(x & cand, ()) if not p & cand]
+            return len(petals) >= need and _disjoint_subset(petals, checks, need) is not None
+
+    return test
 
 
 class _TraceTable:

@@ -77,6 +77,15 @@ class TestGen:
         assert run_cli(capsys, *args, "--out", str(f2))[0] == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_gen_randomlb_huge_k_refused(self, capsys, tmp_path):
+        # k^2 r past the float range: the desk-scale limit on m, not a crash
+        out = tmp_path / "huge.setfam"
+        args = ["gen", "randomlb", "--d", "6", "--r", "3", "--k", str(10**200)]
+        code, _, err = run_cli(capsys, *args, "--out", str(out))
+        assert code == EXIT_PARSE
+        assert err.startswith("invalid input: m=") and "desk-scale limit" in err
+        assert not out.exists()
+
     def test_gen_disks(self, capsys, tmp_path):
         scene = tmp_path / "pts.scene"
         lines = ["scene2 1 6"] + [f"p {x} {7 * x % 5}" for x in range(6)]

@@ -21,8 +21,7 @@ from sunflower_lab import (
 )
 from sunflower_lab.constructions import (
     _relabellings,
-    _sunflower_with,
-    _trace_groups,
+    _sunflower_test,
     _TraceTable,
 )
 from sunflower_lab.dimensions import LittlestoneSolver
@@ -181,6 +180,37 @@ class TestRandomLowerboundFamily:
         assert "n=0" in str(exc.value)
         assert "override" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "d, r, k, m, n, m_requested, notes",
+        [
+            (6, 3000, 24, None, 125, 1,
+             ("n rounded down from 125.628 to 125",
+              "m computed as floor(n^(d-t) / (k^(d-t) n)) = 1")),
+            (6, 3000, 24, 2, 125, 2, ("n rounded down from 125.628 to 125",)),
+        ],
+    )
+    def test_derived_parameters_pinned(self, d, r, k, m, n, m_requested, notes):
+        _, rep = random_lowerbound_family(d, r, k, m=m)
+        assert (rep.n, rep.m_requested, rep.notes) == (n, m_requested, notes)
+
+    @pytest.mark.parametrize(
+        "d, r, k, m, message",
+        [
+            (6, 3, 100000, None, "derived n=602059, m=0 infeasible"),
+            (7, 400, 40, 2, "derived n=34, m=2 infeasible"),
+            (6, 3, 10**20, None, "m=22654764572 exceeds the desk-scale limit 1000000"),
+            # k^2 r is past the float range, and n and m are exact integers
+            (6, 3, 10**200, None, "exceeds the desk-scale limit 1000000"),
+            (1, 10**400, 5, 1, "exceeds the ground range 4294967295"),
+            (0, 3, 5, 3, "deriving n needs d >= 1 and k >= 2"),
+            (3, 3, 1, 3, "deriving n needs d >= 1 and k >= 2"),
+        ],
+        ids=["n-small", "n-below-k", "m-large", "k-huge", "r-huge", "d-zero", "k-one"],
+    )
+    def test_derived_parameters_refused(self, d, r, k, m, message):
+        with pytest.raises(ParameterError, match=message):
+            random_lowerbound_family(d, r, k, m=m)
+
     def test_precondition_enforced_without_overrides(self):
         with pytest.raises(ParameterError):
             random_lowerbound_family(3, 3, 5)
@@ -337,7 +367,8 @@ EXTREMAL_SUITE = {
 
 
 # (kind, r, k, d, ground_cap) -> (exact_value, nodes, check_nodes,
-# max_ground_used, witness members): the ground-cap path and the d = 0 caps
+# max_ground_used, witness members): the ground-cap path, the d = 0 caps and
+# r = 5
 EXTREMAL_CAPPED = {
     ("family", 3, 2, None, 4): (5, 10, 4, 4, ((0, 1), (0, 2), (1, 3), (2, 3))),
     ("family", 4, 2, None, 6): (
@@ -380,6 +411,15 @@ EXTREMAL_CAPPED = {
         867,
         8,
         ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
+    ),
+    # r = 5: the sunflower test walks for three disjoint petals
+    ("vc_bounded", 5, 2, 1, None): (
+        17,
+        2847,
+        5838,
+        20,
+        ((0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7), (5, 8), (5, 9),
+         (10, 11), (10, 12), (10, 13), (10, 14), (15, 16), (15, 17), (15, 18), (15, 19)),
     ),
     ("vc_bounded", 3, 2, 0, None): (2, 2, 0, 2, ((0, 1),)),
     ("ls_bounded", 3, 3, 0, None): (2, 2, 0, 3, ((0, 1, 2),)),
@@ -462,6 +502,18 @@ class TestExtremalPinned:
         assert res.check_nodes == check_nodes
         assert res.witness.members == witness
 
+    @pytest.mark.parametrize("r, k, d", [(3, 2, 2), (3, 2, 3), (3, 3, 3)])
+    def test_vc_cap_at_or_above_k_is_the_family_search(self, monkeypatch, r, k, d):
+        # no k-set holds a (d+1)-set, so the VC search is the family search,
+        # its nodes, check nodes and witness included, and lists no closing set
+        def refused(*args):
+            raise AssertionError("a VC search with d >= k built a closing list")
+
+        monkeypatch.setattr(_TraceTable, "closing", refused)
+        res = extremal_search("vc_bounded", r, k, d=d, ground_cap=7)
+        family = extremal_search("family", r, k, ground_cap=7)
+        assert res == family._replace(kind="vc_bounded", d=d)
+
     @pytest.mark.parametrize(
         "kind, r, k, budget, value, ground",
         [("vc_bounded", 3, 3, 300, 9, 14), ("ls_bounded", 3, 4, 100, 6, 11)],
@@ -488,7 +540,7 @@ def _sunflower_through(masks, cand, r, budget):
     """Whether ``cand`` and ``r - 1`` of the sunflower-free ``masks`` form an
     r-sunflower: some group of equal ``mask & cand`` (the core) holds ``r - 1``
     members whose petals outside the core are pairwise disjoint: the
-    whole-family reference for the search's pair test ``_sunflower_with``."""
+    whole-family reference for the search's pair test ``_sunflower_test``."""
     groups = {}
     for mk in masks:
         core = mk & cand
@@ -497,6 +549,18 @@ def _sunflower_through(masks, cand, r, budget):
         len(petals) >= r - 1 and _disjoint_subset(petals, budget, r - 1) is not None
         for petals in groups.values()
     )
+
+
+def _sunflower_walk(old, x, cand, r, budget):
+    """The pair test as a walk: ``old`` grouped by its trace on ``x``, and
+    the petals of the group of ``x & cand`` that miss ``cand`` searched for
+    ``r - 2`` pairwise disjoint ones by ``_disjoint_subset``: the reference
+    for the verdict of ``_sunflower_test`` and for the check nodes it spends."""
+    groups = {}
+    for mk in old:
+        groups.setdefault(mk & x, []).append(mk & ~x)
+    petals = [p for p in groups.get(x & cand, ()) if not p & cand]
+    return len(petals) >= r - 2 and _disjoint_subset(petals, budget, r - 2) is not None
 
 
 def _canon(mask, u):
@@ -540,7 +604,7 @@ def parents_and_member(draw):
     repeated members."""
     n = draw(st.integers(2, 7))
     k = draw(st.integers(1, min(3, n)))
-    r = draw(st.integers(3, 4))
+    r = draw(st.integers(3, 5))
     d = draw(st.integers(0, 2))
     multi = draw(st.booleans())
     ksets = st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(mask_of)
@@ -660,14 +724,19 @@ class TestIncrementalChecks:
     @settings(max_examples=300, deadline=None)
     @given(parents_and_member())
     def test_sunflower_with_pair(self, case):
-        # the parent is F + x; for a candidate c with F + c sunflower-free,
-        # the pair test on F's trace groups on x answers as the whole-family
-        # check on F + x + c
-        _, r, _, parent, cand = case
-        assume(parent and not _sunflower_through(parent[:-1], cand, r, Budget(None)))
-        whole = _sunflower_through(parent, cand, r, Budget(None))
-        x = parent[-1]
-        assert _sunflower_with(_trace_groups(parent[:-1], x), x, cand, r, Budget(None)) == whole
+        # the parent is F + x; one test built for the node answers every
+        # k-set c as the walk does, spending the same check nodes, and for a
+        # c with F + c sunflower-free as the whole-family check on F + x + c
+        n, r, _, parent, cand = case
+        assume(parent)
+        old, x = parent[:-1], parent[-1]
+        spent, walked = Budget(None), Budget(None)
+        test = _sunflower_test(old, x, r, spent)
+        for c in map(mask_of, combinations(range(n), cand.bit_count())):
+            assert test(c) == _sunflower_walk(old, x, c, r, walked), c
+            assert spent.used == walked.used, c
+        if not _sunflower_through(old, cand, r, Budget(None)):
+            assert test(cand) == _sunflower_through(parent, cand, r, Budget(None))
 
     @settings(max_examples=300, deadline=None)
     @given(passed_at_parent())
